@@ -20,21 +20,18 @@ SharedCutCache::Stripe& SharedCutCache::StripeFor(const dns::Name& cut) const {
 std::optional<SharedCutCache::Entry> SharedCutCache::Lookup(
     const dns::Name& cut) const {
   Stripe& stripe = StripeFor(cut);
-  std::optional<Entry> out;
-  {
-    std::lock_guard lock(stripe.mu);
-    auto it = stripe.entries.find(cut);
-    if (it != stripe.entries.end()) out = it->second;
+  std::lock_guard lock(stripe.mu);
+  auto it = stripe.entries.find(cut);
+  if (it == stripe.entries.end()) {
+    ++stripe.stats.misses;
+    return std::nullopt;
   }
-  std::lock_guard stats_lock(stats_mu_);
-  if (!out.has_value()) {
-    ++stats_.misses;
-  } else if (out->reachable) {
-    ++stats_.hits;
+  if (it->second.reachable) {
+    ++stripe.stats.hits;
   } else {
-    ++stats_.negative_hits;
+    ++stripe.stats.negative_hits;
   }
-  return out;
+  return it->second;
 }
 
 void SharedCutCache::Publish(const dns::Name& cut, Entry entry) {
@@ -44,16 +41,13 @@ void SharedCutCache::Publish(const dns::Name& cut, Entry entry) {
                        static_cast<uint32_t>(entry.addresses.size()));
   }
   Stripe& stripe = StripeFor(cut);
-  {
-    std::lock_guard lock(stripe.mu);
-    auto it = stripe.entries.find(cut);
-    if (it != stripe.entries.end() && !it->second.reachable) {
-      --stripe.negatives;  // a retried cut came back to life
-    }
-    stripe.entries[cut] = std::move(entry);
+  std::lock_guard lock(stripe.mu);
+  auto it = stripe.entries.find(cut);
+  if (it != stripe.entries.end() && !it->second.reachable) {
+    --stripe.negatives;  // a retried cut came back to life
   }
-  std::lock_guard stats_lock(stats_mu_);
-  ++stats_.publishes;
+  stripe.entries[cut] = std::move(entry);
+  ++stripe.stats.publishes;
 }
 
 size_t SharedCutCache::EvictNegativesLocked(Stripe& stripe, uint64_t now_ms) {
@@ -106,24 +100,23 @@ void SharedCutCache::PublishUnreachable(const dns::Name& cut,
                        /*addr_count=*/0);
   }
   Stripe& stripe = StripeFor(cut);
-  size_t evicted = 0;
-  {
-    std::lock_guard lock(stripe.mu);
-    auto it = stripe.entries.find(cut);
-    const bool replacing_negative =
-        it != stripe.entries.end() && !it->second.reachable;
-    if (!replacing_negative) evicted = EvictNegativesLocked(stripe, now_ms);
-    stripe.entries[cut] = std::move(entry);
-    if (!replacing_negative) ++stripe.negatives;
+  std::lock_guard lock(stripe.mu);
+  auto it = stripe.entries.find(cut);
+  const bool replacing_negative =
+      it != stripe.entries.end() && !it->second.reachable;
+  if (!replacing_negative) {
+    stripe.stats.negative_evictions += EvictNegativesLocked(stripe, now_ms);
   }
-  std::lock_guard stats_lock(stats_mu_);
-  ++stats_.negative_publishes;
-  stats_.negative_evictions += evicted;
+  stripe.entries[cut] = std::move(entry);
+  if (!replacing_negative) ++stripe.negatives;
+  ++stripe.stats.negative_publishes;
 }
 
-void SharedCutCache::ChargeInfra(const ResolverCounters& effort) {
-  std::lock_guard lock(stats_mu_);
-  stats_.infra += effort;
+void SharedCutCache::ChargeInfra(const dns::Name& zone,
+                                 const ResolverCounters& effort) {
+  Stripe& stripe = StripeFor(zone);
+  std::lock_guard lock(stripe.mu);
+  stripe.stats.infra += effort;
 }
 
 size_t SharedCutCache::size() const {
@@ -174,8 +167,19 @@ size_t SharedCutCache::Restore(
 }
 
 CutCacheStats SharedCutCache::stats() const {
-  std::lock_guard lock(stats_mu_);
-  return stats_;
+  CutCacheStats total;
+  for (const auto& stripe : stripes_) {
+    std::lock_guard lock(stripe->mu);
+    const CutCacheStats& s = stripe->stats;
+    total.hits += s.hits;
+    total.misses += s.misses;
+    total.negative_hits += s.negative_hits;
+    total.publishes += s.publishes;
+    total.negative_publishes += s.negative_publishes;
+    total.negative_evictions += s.negative_evictions;
+    total.infra += s.infra;
+  }
+  return total;
 }
 
 }  // namespace govdns::core

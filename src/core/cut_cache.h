@@ -56,7 +56,7 @@ class SharedCutCache {
     std::vector<dns::Name> ns_names;
     std::vector<geo::IPv4> addresses;
     bool reachable = true;    // false: remembering a dead subtree
-    uint64_t expires_ms = 0;  // unreachable entries only: retry-after time
+    uint64_t expires_ms = 0;  // unreachable entries only: eviction order
   };
 
   // `max_negatives_per_stripe` bounds how many dead-subtree entries a stripe
@@ -75,12 +75,17 @@ class SharedCutCache {
   // Publishes (or overwrites) an entry. Racing publishers of the same cut
   // carry identical content by construction, so ordering is immaterial.
   void Publish(const dns::Name& cut, Entry entry);
-  // `now_ms` drives expired-first eviction under the negative bound; expiry
-  // itself is judged against the logical clock by the resolver on lookup.
+  // `expires_ms` is stamped on the clock of the probe that found the cut
+  // dead; `now_ms` (the publisher's clock) drives expired-first eviction
+  // under the negative bound. Lookups do not compare clocks: the resolver
+  // judges a negative in the clock domain that stamped it, where it stays
+  // fresh for the rest of the run (DESIGN.md §6c).
   void PublishUnreachable(const dns::Name& cut, std::vector<dns::Name> ns_names,
                           uint64_t expires_ms, uint64_t now_ms);
 
-  void ChargeInfra(const ResolverCounters& effort);
+  // Charges the effort of one shared-cut computation step to the stripe of
+  // the zone the step queried.
+  void ChargeInfra(const dns::Name& zone, const ResolverCounters& effort);
 
   // Checkpoint support: a deterministic (name-sorted) snapshot of all
   // entries, and bulk restore into an empty-or-warm cache. Restore skips
@@ -96,13 +101,16 @@ class SharedCutCache {
 
   size_t size() const;
   void Clear();
-  CutCacheStats stats() const;  // snapshot
+  CutCacheStats stats() const;  // sum over the stripes
 
  private:
+  // Counters live with the entries, under the stripe lock every operation
+  // already holds: no cache-wide lock is ever taken.
   struct Stripe {
     mutable std::mutex mu;
     std::map<dns::Name, Entry> entries;
     size_t negatives = 0;  // unreachable entries currently held
+    CutCacheStats stats;
   };
 
   Stripe& StripeFor(const dns::Name& cut) const;
@@ -112,8 +120,6 @@ class SharedCutCache {
 
   std::vector<std::unique_ptr<Stripe>> stripes_;
   size_t max_negatives_per_stripe_;
-  mutable std::mutex stats_mu_;
-  mutable CutCacheStats stats_;
   obs::CutTraceLog* trace_log_ = nullptr;
 };
 

@@ -1,6 +1,7 @@
 #include "core/resolver.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/cut_cache.h"
 #include "util/rng.h"
@@ -320,6 +321,8 @@ util::StatusOr<std::vector<geo::IPv4>> IterativeResolver::AddressesForNs(
         out.insert(out.end(), addrs->begin(), addrs->end());
       }
     }
+  } else if (!need_lookup.empty()) {
+    depth_limited_ = true;
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -366,6 +369,7 @@ void IterativeResolver::CacheUnreachable(const dns::Name& cut,
 IterativeResolver::InfraScope::InfraScope(IterativeResolver& r,
                                           const dns::Name& zone)
     : r_(r),
+      zone_(zone),
       saved_counters_(r.counters_),
       saved_queries_sent_(r.queries_sent_),
       saved_jitter_state_(r.jitter_state_),
@@ -395,7 +399,7 @@ IterativeResolver::InfraScope::InfraScope(IterativeResolver& r,
 
 IterativeResolver::InfraScope::~InfraScope() {
   r_.transport_->PopChaosContext();
-  r_.options_.shared_cache->ChargeInfra(r_.counters_);
+  r_.options_.shared_cache->ChargeInfra(zone_, r_.counters_);
   r_.counters_ = saved_counters_;
   r_.queries_sent_ = saved_queries_sent_;
   r_.jitter_state_ = saved_jitter_state_;
@@ -431,33 +435,55 @@ void IterativeResolver::EndDomainScope() {
 util::StatusOr<IterativeResolver::ZoneServers>
 IterativeResolver::WalkToZoneShared(const dns::Name& name, bool stop_above,
                                     int depth_budget) {
-  if (depth_budget <= 0) return util::InternalError("resolution depth");
+  if (depth_budget <= 0) {
+    depth_limited_ = true;
+    return util::InternalError("resolution depth");
+  }
   SharedCutCache& cache = *options_.shared_cache;
+  // Depth-bound failures recorded by nested walks are scoped to the
+  // outermost walk that spawned them.
+  const bool outermost = shared_walk_nesting_ == 0;
+  if (outermost) depth_failures_.clear();
+  struct NestingGuard {
+    int& nesting;
+    ~NestingGuard() { --nesting; }
+  } nesting_guard{++shared_walk_nesting_};
 
   ZoneServers current;
   current.zone = dns::Name::Root();
   current.addresses = roots_;
 
-  // Start from the deepest cached ancestor. An unexpired dead subtree fails
-  // the walk immediately; an *expired* negative entry is treated as a plain
-  // miss — no eager erase, because the hermetic re-probe below reproduces
-  // the identical outcome and simply republishes over it.
+  // Start from the deepest cached ancestor. A shared negative fails the walk
+  // whatever this context's clock reads: it is judged in the clock domain
+  // that stamped it, the probe's hermetic clock, which restarts at the
+  // zone's own offset on every probe — so it never expires within a run,
+  // and a re-probe could only reproduce the verdict. The per-stripe bound
+  // evicts it; Restore drops it at the next run.
   const size_t max_count = name.LabelCount() - (stop_above ? 1 : 0);
   for (size_t count = max_count; count > 0; --count) {
-    auto entry = cache.Lookup(name.Suffix(count));
-    if (!entry.has_value()) continue;
+    const dns::Name suffix = name.Suffix(count);
+    auto entry = cache.Lookup(suffix);
+    if (!entry.has_value()) {
+      // A cut an enclosing walk could not resolve with at least this much
+      // depth left cannot resolve with this walk's budget either.
+      auto failed = depth_failures_.find(suffix);
+      if (failed != depth_failures_.end() && depth_budget <= failed->second) {
+        depth_limited_ = true;
+        return util::UnavailableError("depth-bound delegation at " +
+                                      suffix.ToString());
+      }
+      continue;
+    }
     if (entry->reachable) {
-      current.zone = name.Suffix(count);
+      current.zone = suffix;
       current.ns_names = std::move(entry->ns_names);
       current.addresses = std::move(entry->addresses);
       break;
     }
-    if (transport_->now_ms() < entry->expires_ms) {
-      ++counters_.negative_cache_hits;
-      Trace(obs::TraceEventKind::kNegativeCacheHit);
-      return util::UnavailableError("cached-unreachable zone at " +
-                                    name.Suffix(count).ToString());
-    }
+    ++counters_.negative_cache_hits;
+    Trace(obs::TraceEventKind::kNegativeCacheHit);
+    return util::UnavailableError("cached-unreachable zone at " +
+                                  suffix.ToString());
   }
 
   for (int hop = 0; hop < options_.max_referrals; ++hop) {
@@ -467,7 +493,7 @@ IterativeResolver::WalkToZoneShared(const dns::Name& name, bool stop_above,
     // workers that probe the same cut publish byte-identical entries, and
     // the step's cost lands on the cache's infra counters, not this domain.
     bool dead = false, direct = false, lame = false, stop_here = false;
-    bool cut_unresolvable = false;
+    bool cut_unresolvable = false, depth_cut = false;
     dns::Name cut;
     std::vector<dns::Name> ns_names;
     std::vector<geo::IPv4> addrs;
@@ -506,8 +532,13 @@ IterativeResolver::WalkToZoneShared(const dns::Name& name, bool stop_above,
               ns_names.push_back(std::get<dns::NsRdata>(rr.rdata).nameserver);
             }
           }
+          // depth_limited_ is sticky for the caller; bracket it so this
+          // hop learns whether the depth bound shaped its own address set.
+          const bool outer_limited = std::exchange(depth_limited_, false);
           auto a = AddressesForNs(ns_names, usable.message->additional,
                                   depth_budget - 1);
+          depth_cut = depth_limited_;
+          depth_limited_ = outer_limited || depth_cut;
           if (!a.ok()) {
             cut_unresolvable = true;
             neg_expires =
@@ -556,6 +587,19 @@ IterativeResolver::WalkToZoneShared(const dns::Name& name, bool stop_above,
     if (cut_unresolvable) {
       if (watchdog_cancelled_) {
         return util::UnavailableError("walk cancelled under " +
+                                      cut.ToString());
+      }
+      if (depth_cut && !outermost) {
+        // The depth bound, not the zone, failed this delegation: a nested
+        // walk (a glueless NS lookup, typically in a circular chain) ran
+        // out of budget. Publishing that would hand every later walk — with
+        // its full budget — a verdict that depends on how deep the walk
+        // that computed it happened to be. Fail verdict-free and uncounted;
+        // remember it for the rest of the outermost walk only, so sibling
+        // lookups at no more depth do not repeat the doomed recursion.
+        int& failed_at = depth_failures_[cut];
+        failed_at = std::max(failed_at, depth_budget);
+        return util::UnavailableError("depth-bound delegation at " +
                                       cut.ToString());
       }
       cache.PublishUnreachable(cut, ns_names, neg_expires,
@@ -710,7 +754,10 @@ util::StatusOr<std::vector<geo::IPv4>> IterativeResolver::ResolveAddresses(
 util::StatusOr<std::vector<geo::IPv4>>
 IterativeResolver::ResolveAddressesInternal(const dns::Name& host,
                                             int depth_budget) {
-  if (depth_budget <= 0) return util::InternalError("resolution depth");
+  if (depth_budget <= 0) {
+    depth_limited_ = true;
+    return util::InternalError("resolution depth");
+  }
   dns::Name current = host;
   for (int hop = 0; hop <= options_.max_cname_chain; ++hop) {
     auto records = ResolveInternal(current, dns::RRType::kA, depth_budget - 1);

@@ -269,6 +269,7 @@ class IterativeResolver {
 
    private:
     IterativeResolver& r_;
+    dns::Name zone_;  // the step's effort is charged to this zone's stripe
     ResolverCounters saved_counters_;
     uint64_t saved_queries_sent_;
     uint64_t saved_jitter_state_;
@@ -325,6 +326,15 @@ class IterativeResolver {
   std::map<geo::IPv4, ServerHealth> health_;
   bool domain_scope_active_ = false;
   obs::DomainTrace* trace_ = nullptr;
+  // Engine-mode soundness guard for the recursion depth bound. Latches when
+  // the bound cut work short (a glueless lookup skipped or refused); each
+  // WalkToZoneShared hop brackets it around its AddressesForNs call.
+  bool depth_limited_ = false;
+  // Cuts that nested walks found unresolvable only for lack of depth, with
+  // the largest depth budget at which that happened. Never published;
+  // cleared when the next outermost shared walk starts.
+  std::map<dns::Name, int> depth_failures_;
+  int shared_walk_nesting_ = 0;
 };
 
 }  // namespace govdns::core

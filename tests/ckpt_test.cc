@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ckpt/fault.h"
@@ -595,6 +596,48 @@ TEST(CutCacheCkptTest, NegativeEvictionTiebreakIsStable) {
     EXPECT_TRUE(cache.Lookup(N("z.gov")).has_value());
     EXPECT_TRUE(cache.Lookup(N("q.gov")).has_value());
   }
+}
+
+TEST(CutCacheCkptTest, StripedStatsSumExactlyUnderConcurrency) {
+  // Counters live in the stripes, under the locks the operations already
+  // take; stats() must still add up exactly however threads interleave.
+  // Run under TSan by tools/verify.sh.
+  constexpr int kThreads = 4;
+  constexpr int kOps = 2000;
+  core::SharedCutCache cache(/*stripes=*/8, /*max_negatives_per_stripe=*/4);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, t] {
+      core::ResolverCounters effort;
+      effort.queries = 1;
+      for (int i = 0; i < kOps; ++i) {
+        const dns::Name zone =
+            N(("z" + std::to_string((t * kOps + i) % 97) + ".gov").c_str());
+        switch (i % 4) {
+          case 0:
+            cache.Publish(zone, core::SharedCutCache::Entry{});
+            break;
+          case 1:
+            cache.PublishUnreachable(zone, {}, /*expires_ms=*/i, /*now_ms=*/i);
+            break;
+          case 2:
+            cache.ChargeInfra(zone, effort);
+            break;
+          default:
+            cache.Lookup(zone);
+            break;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  const core::CutCacheStats stats = cache.stats();
+  const uint64_t per_kind = uint64_t{kThreads} * kOps / 4;
+  EXPECT_EQ(stats.publishes, per_kind);
+  EXPECT_EQ(stats.negative_publishes, per_kind);
+  EXPECT_EQ(stats.infra.queries, per_kind);
+  EXPECT_EQ(stats.hits + stats.negative_hits + stats.misses, per_kind);
+  EXPECT_GT(stats.negative_evictions, 0u);  // 97 zones, room for 8 x 4
 }
 
 TEST(CutCacheCkptTest, ResolverNegativeDefaultsAreBounded) {

@@ -42,6 +42,27 @@ assert trace["folded_domains"] >= len(trace["domains"])
 print("smoke: report/metrics/trace exports parse OK")
 EOF
 
+echo "==> smoke: shared cut cache does not churn"
+# A shared negative is judged on the clock that stamped it (DESIGN.md §6c),
+# so a run computes each zone cut about once: publishes stay close to the
+# cache's final size, and the per-stripe negative bound never has to evict.
+# Scale 0.05 is the smallest that separates churn (ratio ~2.1) from none
+# (~1.1); at 0.01 both sit near 1.1.
+./build/tools/govdns_study --scale 0.05 --no-report \
+  --metrics "${SMOKE_DIR}/churn_metrics.json" 2>/dev/null
+python3 - "${SMOKE_DIR}/churn_metrics.json" <<'EOF'
+import json, sys
+gauges = {g["name"]: g["value"]
+          for g in json.loads(open(sys.argv[1]).read())["gauges"]}
+size, publishes = gauges["cutcache.size"], gauges["cutcache.publishes"]
+evictions = gauges["cutcache.negative_evictions"]
+assert size > 0, gauges
+assert publishes <= 1.5 * size, (publishes, size)
+assert evictions == 0, evictions
+print(f"smoke: cut cache publishes/size {publishes / size:.2f} <= 1.5, "
+      f"0 negative evictions OK")
+EOF
+
 echo "==> smoke: bench_parallel_mine (identity + fold scaling, both sweeps)"
 # The mining pool is only allowed to change wall-clock time, never bytes —
 # at every worker count, on every snapshot substrate, at world scale and at
@@ -228,7 +249,9 @@ echo "==> tier-1: tsan build + concurrency suites"
 # striping, frozen PDNS snapshot, per-worker merges) must be race-free, not
 # just correct-when-lucky. Run the suites that exercise the parallel paths
 # under ThreadSanitizer; the binaries are invoked directly so gtest filters
-# stay simple and reliable.
+# stay simple and reliable. ckpt_test carries the cut-cache suites (the
+# striped stats under concurrent publishers), parallel_measure_test the
+# shared-negative and depth-guard pool tests.
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "${JOBS}" --target \
   simnet_test resolver_test measure_test parallel_measure_test \
