@@ -16,8 +16,8 @@
 // and tools/verify.sh — judge which one to trust.
 //
 // The dataset must be byte-identical at every point (parallel mining is a
-// pure optimization), including when mined from the owning and mmapped
-// snapshot-file substrates, which this bench round-trips through a temp
+// pure optimization), on the frozen image and on the same image mmapped
+// back from a snapshot file, which this bench round-trips through a temp
 // file. A second sweep runs at GOVDNS_MINE_SCALE (default 10x GOVDNS_SCALE;
 // set 0 to disable) so the scaling claim is tested at world scale and well
 // past it. Artifacts: the sweep tables on stdout, one machine-readable
@@ -104,12 +104,11 @@ PhaseWalls CollectPhases(const govdns::obs::PhaseProfiler& prof) {
   return p;
 }
 
-template <typename Snapshot>
-govdns::core::MinedDataset MinePoint(const Snapshot& snapshot,
-                                     const std::vector<govdns::core::SeedDomain>& seeds,
-                                     const govdns::core::MiningConfig& config,
-                                     int workers, double* seconds,
-                                     PhaseWalls* phases) {
+govdns::core::MinedDataset MinePoint(
+    const govdns::pdns::PdnsSnapshot& snapshot,
+    const std::vector<govdns::core::SeedDomain>& seeds,
+    const govdns::core::MiningConfig& config, int workers, double* seconds,
+    PhaseWalls* phases) {
   govdns::obs::PhaseProfiler prof;
   govdns::core::MinerOptions opts;
   opts.workers = workers;
@@ -177,8 +176,8 @@ SweepResult RunSweep(govdns::core::Study& study, double scale) {
     r.sweep.push_back(point);
   }
 
-  // Substrate identity: the owning and mmapped snapshot-file paths must
-  // yield the same bytes the in-memory frozen snapshot did.
+  // Substrate identity: the frozen image and its mmapped file must yield
+  // the bytes the 1-worker run did.
   const std::string dir =
       (fs::temp_directory_path() / "govdns_bench_mine").string();
   std::error_code ec;
@@ -188,24 +187,20 @@ SweepResult RunSweep(govdns::core::Study& study, double scale) {
   auto write =
       govdns::pdns::WritePdnsSnapshotFile(frozen, kSnapshotFingerprint, dir, path);
   if (write.ok()) {
-    auto owning =
-        govdns::pdns::ReadPdnsSnapshotFileOwning(path, kSnapshotFingerprint);
     auto mapped =
-        govdns::pdns::MappedPdnsSnapshot::Open(path, kSnapshotFingerprint);
+        govdns::pdns::PdnsSnapshot::Open(path, kSnapshotFingerprint);
     for (int workers : {1, 4}) {
-      if (owning.ok()) {
-        SubstratePoint p{"owning", workers};
-        p.identical =
-            MinePoint(*owning, seeds, config, workers, &p.seconds, nullptr) ==
-            serial;
-        r.substrates.push_back(p);
-      }
+      SubstratePoint p{"frozen", workers};
+      p.identical =
+          MinePoint(frozen, seeds, config, workers, &p.seconds, nullptr) ==
+          serial;
+      r.substrates.push_back(p);
       if (mapped.ok()) {
-        SubstratePoint p{"mapped", workers};
-        p.identical =
-            MinePoint(*mapped, seeds, config, workers, &p.seconds, nullptr) ==
+        SubstratePoint q{"mapped", workers};
+        q.identical =
+            MinePoint(*mapped, seeds, config, workers, &q.seconds, nullptr) ==
             serial;
-        r.substrates.push_back(p);
+        r.substrates.push_back(q);
       }
     }
   } else {

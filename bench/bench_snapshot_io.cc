@@ -1,19 +1,19 @@
-// Snapshot I/O bench: parse-load vs zero-copy mapped load (DESIGN.md §6i).
+// Snapshot I/O bench: re-freeze vs zero-copy mapped resume (DESIGN.md §6i).
 //
-// Freezes the shared BenchEnv world's PDNS database, writes it as a GVSN
-// snapshot file, and measures the two resume paths side by side:
+// Freezes the shared BenchEnv world's PDNS database, writes the image as a
+// GVSN snapshot file, and measures the operator's two ways to get a mining
+// substrate back side by side:
 //
-//   * parse-load — ReadPdnsSnapshotFileOwning, which decodes every section
-//     back into an owning PdnsSnapshot (O(entries)); and
-//   * mapped     — MappedPdnsSnapshot::Open, which mmaps the file and
-//     validates only the container CRCs and bounds (O(1) in world size).
+//   * freeze — PdnsDatabase::Freeze(), which lowers the whole database into
+//     a fresh in-memory image (O(entries)); and
+//   * mapped — PdnsSnapshot::Open, which mmaps the file and validates
+//     only the container CRCs and bounds (O(1) in world size).
 //
-// The artifact's headline number is mapped_vs_parse_speedup; the tentpole's
-// acceptance bar is >= 20x at paper scale. On the way the bench verifies the
-// correctness contract: mining the owning and the mapped snapshot, at 1 and
-// at 4 workers, produces a MinedDataset byte-identical to mining the source
-// database. Lands in BENCH_snapshot.json (path overridable via
-// GOVDNS_SNAPSHOT_JSON).
+// The artifact's headline number is mapped_vs_freeze_speedup. On the way
+// the bench verifies the correctness contract: mining the frozen and the
+// mapped snapshot, at 1 and at 4 workers, produces a MinedDataset
+// byte-identical to mining the source database. Lands in
+// BENCH_snapshot.json (path overridable via GOVDNS_SNAPSHOT_JSON).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -41,7 +41,7 @@ constexpr uint64_t kBenchFingerprint = 0x60bd5bebcd5eedULL;
 struct SnapshotFixture {
   std::string dir;
   std::string path;
-  pdns::PdnsSnapshot owning;  // the Freeze() source of truth
+  pdns::PdnsSnapshot frozen;  // the Freeze() source of truth
   double write_seconds = 0.0;
   uint64_t file_bytes = 0;
 
@@ -55,9 +55,9 @@ struct SnapshotFixture {
       std::filesystem::create_directories(f->dir);
       f->path = f->dir + "/pdns.gvsn";
       std::fprintf(stderr, "[bench] freezing PDNS database ...\n");
-      f->owning = env.world().pdns_db().Freeze();
+      f->frozen = env.world().pdns_db().Freeze();
       const auto start = std::chrono::steady_clock::now();
-      auto status = pdns::WritePdnsSnapshotFile(f->owning, kBenchFingerprint,
+      auto status = pdns::WritePdnsSnapshotFile(f->frozen, kBenchFingerprint,
                                                 f->dir, f->path);
       const auto stop = std::chrono::steady_clock::now();
       if (!status.ok()) {
@@ -80,19 +80,19 @@ double TimeSeconds(int reps, const auto& fn) {
   return std::chrono::duration<double>(stop - start).count() / reps;
 }
 
-void BM_ParseLoad(benchmark::State& state) {
-  auto& f = SnapshotFixture::Get();
+void BM_Freeze(benchmark::State& state) {
+  auto& env = BenchEnv::Get();
   for (auto _ : state) {
-    auto snap = pdns::ReadPdnsSnapshotFileOwning(f.path, kBenchFingerprint);
+    auto snap = env.world().pdns_db().Freeze();
     benchmark::DoNotOptimize(snap);
   }
 }
-BENCHMARK(BM_ParseLoad)->Unit(benchmark::kMillisecond)->Iterations(1);
+BENCHMARK(BM_Freeze)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 void BM_MappedOpen(benchmark::State& state) {
   auto& f = SnapshotFixture::Get();
   for (auto _ : state) {
-    auto snap = pdns::MappedPdnsSnapshot::Open(f.path, kBenchFingerprint);
+    auto snap = pdns::PdnsSnapshot::Open(f.path, kBenchFingerprint);
     benchmark::DoNotOptimize(snap);
   }
 }
@@ -104,21 +104,20 @@ void PrintArtifact() {
   const auto& inputs = env.study().inputs();
   const auto& seeds = env.seeds();
 
-  // --- Load-path timing. Mapped opens are microseconds; average over many.
-  const double parse_seconds = TimeSeconds(3, [&] {
-    auto snap = pdns::ReadPdnsSnapshotFileOwning(f.path, kBenchFingerprint);
-    if (!snap.ok()) std::abort();
+  // --- Substrate timing. Mapped opens are microseconds; average over many.
+  const double freeze_seconds = TimeSeconds(3, [&] {
+    auto snap = env.world().pdns_db().Freeze();
     benchmark::DoNotOptimize(snap);
   });
   bool mapped_for_real = false;
   const double mapped_seconds = TimeSeconds(100, [&] {
-    auto snap = pdns::MappedPdnsSnapshot::Open(f.path, kBenchFingerprint);
+    auto snap = pdns::PdnsSnapshot::Open(f.path, kBenchFingerprint);
     if (!snap.ok()) std::abort();
     mapped_for_real = snap->mapped();
     benchmark::DoNotOptimize(snap);
   });
   const double speedup =
-      mapped_seconds > 0.0 ? parse_seconds / mapped_seconds : 0.0;
+      mapped_seconds > 0.0 ? freeze_seconds / mapped_seconds : 0.0;
 
   // --- Identity: every snapshot substrate, at 1 and 4 workers, must mine
   // the same bytes as the source database.
@@ -131,51 +130,50 @@ void PrintArtifact() {
     govdns::core::PdnsMiner miner(inputs.mining, opts);
     return miner.MineSnapshot(snapshot, seeds);
   };
-  auto parsed = pdns::ReadPdnsSnapshotFileOwning(f.path, kBenchFingerprint);
-  auto mapped = pdns::MappedPdnsSnapshot::Open(f.path, kBenchFingerprint);
-  if (!parsed.ok() || !mapped.ok()) std::abort();
-  const bool owning_w1 = mine_with(*parsed, 1) == baseline;
-  const bool owning_w4 = mine_with(*parsed, 4) == baseline;
+  auto mapped = pdns::PdnsSnapshot::Open(f.path, kBenchFingerprint);
+  if (!mapped.ok()) std::abort();
+  const bool frozen_w1 = mine_with(f.frozen, 1) == baseline;
+  const bool frozen_w4 = mine_with(f.frozen, 4) == baseline;
   const bool mapped_w1 = mine_with(*mapped, 1) == baseline;
   const bool mapped_w4 = mine_with(*mapped, 4) == baseline;
 
   govdns::util::TextTable table({"Path", "Seconds", "Speedup"});
-  char parse_s[32], mapped_s[32], speedup_s[32];
-  std::snprintf(parse_s, sizeof parse_s, "%.6f", parse_seconds);
+  char freeze_s[32], mapped_s[32], speedup_s[32];
+  std::snprintf(freeze_s, sizeof freeze_s, "%.6f", freeze_seconds);
   std::snprintf(mapped_s, sizeof mapped_s, "%.6f", mapped_seconds);
   std::snprintf(speedup_s, sizeof speedup_s, "%.1fx", speedup);
-  table.AddRow({"parse-load", parse_s, "1.0x"});
+  table.AddRow({"freeze", freeze_s, "1.0x"});
   table.AddRow({"mapped", mapped_s, speedup_s});
 
   govdns::util::JsonWriter w;
   w.BeginObject();
   w.Kv("scale", env.scale());
-  w.Kv("names", int64_t(f.owning.name_count()));
-  w.Kv("entries", int64_t(f.owning.entry_count()));
+  w.Kv("names", int64_t(f.frozen.name_count()));
+  w.Kv("entries", int64_t(f.frozen.entry_count()));
   w.Kv("file_bytes", int64_t(f.file_bytes));
   w.Kv("write_seconds", f.write_seconds);
-  w.Kv("parse_load_seconds", parse_seconds);
+  w.Kv("freeze_seconds", freeze_seconds);
   w.Kv("mapped_open_seconds", mapped_seconds);
-  w.Kv("mapped_vs_parse_speedup", speedup);
+  w.Kv("mapped_vs_freeze_speedup", speedup);
   w.Kv("mapped_for_real", mapped_for_real);
   w.Key("mining_identity").BeginObject()
-      .Kv("owning_w1", owning_w1)
-      .Kv("owning_w4", owning_w4)
+      .Kv("frozen_w1", frozen_w1)
+      .Kv("frozen_w4", frozen_w4)
       .Kv("mapped_w1", mapped_w1)
       .Kv("mapped_w4", mapped_w4)
       .EndObject();
   w.EndObject();
   const std::string json = w.TakeString();
 
-  std::printf("\nSnapshot resume cost — parse-load vs mmap (zero-copy)\n");
+  std::printf("\nSnapshot resume cost — re-freeze vs mmap (zero-copy)\n");
   std::printf("(%zu names, %zu entries, %.1f MiB on disk; mapped open\n",
-              f.owning.name_count(), f.owning.entry_count(),
+              f.frozen.name_count(), f.frozen.entry_count(),
               double(f.file_bytes) / (1024.0 * 1024.0));
   std::printf(" validates container CRCs only — O(1) in world size)\n");
   table.Print(std::cout);
-  std::printf("mining identity (vs source db): owning w1=%s w4=%s, "
+  std::printf("mining identity (vs source db): frozen w1=%s w4=%s, "
               "mapped w1=%s w4=%s\n",
-              owning_w1 ? "yes" : "NO", owning_w4 ? "yes" : "NO",
+              frozen_w1 ? "yes" : "NO", frozen_w4 ? "yes" : "NO",
               mapped_w1 ? "yes" : "NO", mapped_w4 ? "yes" : "NO");
   std::fprintf(stderr, "[bench] snapshot %s\n", json.c_str());
 

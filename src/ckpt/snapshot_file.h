@@ -1,5 +1,5 @@
 // Relocatable, offset-indexed, checksummed snapshot container (DESIGN.md
-// §6i): the generic file format under mmap-able PdnsSnapshot persistence.
+// §6i): the generic file format under the PdnsSnapshot image.
 //
 // Layout (all integers little-endian, fixed width — never varint, so a
 // mapped reader needs zero decoding):

@@ -73,9 +73,9 @@ namespace {
 // used and every used name was collected (the renumber pass CHECKs it).
 // Years are contiguous, so overlapping the whole range == overlapping some
 // year.
-template <typename Entry>
 bool InternEligible(const MiningConfig& config, util::CivilDay years_first,
-                    util::CivilDay years_last, const Entry& entry) {
+                    util::CivilDay years_last,
+                    const pdns::PdnsEntryView& entry) {
   return entry.type == dns::RRType::kNS &&
          entry.seen.last - entry.seen.first >= config.stability_days &&
          entry.seen.last >= years_first && entry.seen.first <= years_last;
@@ -85,11 +85,11 @@ bool InternEligible(const MiningConfig& config, util::CivilDay years_first,
 // unique stable NS rdata in plain byte-sorted order, with a two-byte-prefix
 // bucket index so a lookup binary-searches a short run instead of the whole
 // table (~5 string compares instead of ~log2(n) at world scale). Entries
-// are string_views into the snapshot substrate — the frozen entry array or
-// the mmapped rdata blob, both immutable for the duration of the pass — so
-// building and probing the table never copies a string. Ids are positions
-// in sorted order; the fold's renumber pass converts them to first-seen
-// order at the end (DESIGN.md §6j).
+// are string_views into the snapshot's rdata blob — frozen or mmapped,
+// immutable for the duration of the pass either way — so building and
+// probing the table never copies a string. Ids are positions in sorted
+// order; the fold's renumber pass converts them to first-seen order at the
+// end (DESIGN.md §6j).
 class NsNameTable {
  public:
   // Merges per-worker sorted, deduplicated view lists into the table.
@@ -218,13 +218,9 @@ int YearlyValue(YearlyStatistic statistic, const Hist& days_at_count) {
   return value;
 }
 
-// Mines one seed against a frozen snapshot — owning (PdnsSnapshot) or
-// memory-mapped (MappedPdnsSnapshot); both expose the same lookup API and
-// entry field names, differing only in whether entries come out as
-// PdnsEntry refs or PdnsEntryView values. Reads only shared immutable state
-// and writes only `shard`/`scratch`, so any worker may run any seed.
-template <typename Snapshot>
-void MineSeed(const MiningConfig& config, const Snapshot& snapshot,
+// Mines one seed against the frozen snapshot. Reads only shared immutable
+// state and writes only `shard`/`scratch`, so any worker may run any seed.
+void MineSeed(const MiningConfig& config, const pdns::PdnsSnapshot& snapshot,
               const NsNameTable& table, const SeedDomain& seed, int seed_index,
               const std::vector<util::CivilDay>& year_start,
               const std::vector<util::CivilDay>& year_end, SeedShard& shard,
@@ -365,8 +361,8 @@ void MineSeed(const MiningConfig& config, const Snapshot& snapshot,
 // once more per worker), leaving `acc` sorted and unique. The final k-way
 // merge across workers happens serially in MineImpl — it is the only serial
 // string work left in the pipeline.
-template <typename Snapshot>
-void CollectInternViews(const MiningConfig& config, const Snapshot& snapshot,
+void CollectInternViews(const MiningConfig& config,
+                        const pdns::PdnsSnapshot& snapshot,
                         const std::vector<SeedDomain>& seeds,
                         std::atomic<size_t>& next,
                         std::vector<std::string_view>& acc) {
@@ -381,7 +377,7 @@ void CollectInternViews(const MiningConfig& config, const Snapshot& snapshot,
     util::ArenaVec<std::string_view> local(&arena);
     for (const auto& entry : snapshot.EntriesInNameRange(lo, hi)) {
       if (InternEligible(config, years_first, years_last, entry)) {
-        local.push_back(std::string_view(entry.rdata));
+        local.push_back(entry.rdata);
       }
     }
     std::sort(local.begin(), local.end());
@@ -410,8 +406,8 @@ void RunOnPool(int workers, const std::function<void(int)>& body) {
 
 MinedDataset PdnsMiner::Mine(const std::vector<SeedDomain>& seeds) {
   GOVDNS_CHECK(db_ != nullptr);
-  // --- Phase 1: freeze. One O(entries) flattening buys every seed a
-  // binary-searched zero-copy subtree scan instead of a copied vector.
+  // --- Phase 1: freeze. One O(entries) lowering into the flat image buys
+  // every seed a binary-searched zero-copy subtree scan.
   pdns::PdnsSnapshot snapshot;
   {
     std::optional<obs::PhaseProfiler::Scope> scope;
@@ -426,28 +422,18 @@ MinedDataset PdnsMiner::Mine(const std::vector<SeedDomain>& seeds) {
 
 MinedDataset PdnsMiner::MineSnapshot(const pdns::PdnsSnapshot& snapshot,
                                      const std::vector<SeedDomain>& seeds) {
-  RecordSnapshotAttach(snapshot.entry_count());
-  return MineImpl(snapshot, seeds);
-}
-
-MinedDataset PdnsMiner::MineSnapshot(const pdns::MappedPdnsSnapshot& snapshot,
-                                     const std::vector<SeedDomain>& seeds) {
-  RecordSnapshotAttach(snapshot.entry_count());
-  return MineImpl(snapshot, seeds);
-}
-
-void PdnsMiner::RecordSnapshotAttach(size_t entries) {
-  // A pre-frozen substrate skips the O(entries) flattening, but the profile
+  // A pre-frozen snapshot skips the O(entries) lowering, but the profile
   // schema must not depend on the substrate: emit the same "mining.freeze"
   // row the database path does (the attach is the freeze, at O(1) cost) so
   // reports stay byte-identical across substrates.
-  if (options_.profiler == nullptr) return;
-  obs::PhaseProfiler::Scope scope(options_.profiler, "mining.freeze");
-  scope.set_items(static_cast<int64_t>(entries));
+  if (options_.profiler != nullptr) {
+    obs::PhaseProfiler::Scope scope(options_.profiler, "mining.freeze");
+    scope.set_items(static_cast<int64_t>(snapshot.entry_count()));
+  }
+  return MineImpl(snapshot, seeds);
 }
 
-template <typename Snapshot>
-MinedDataset PdnsMiner::MineImpl(const Snapshot& snapshot,
+MinedDataset PdnsMiner::MineImpl(const pdns::PdnsSnapshot& snapshot,
                                  const std::vector<SeedDomain>& seeds) {
   MinedDataset out;
   out.config = config_;

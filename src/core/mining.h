@@ -8,7 +8,7 @@
 //
 // Mine() shards the seed list over a worker pool (MinerOptions::workers)
 // mirroring the measurement engine (DESIGN.md §6c/§6e/§6j): the database is
-// frozen once into a flat PdnsSnapshot, a parallel pre-pass builds the
+// frozen once into a flat PdnsSnapshot image, a parallel pre-pass builds the
 // global NS-name intern table up front (unique stable rdata per worker,
 // merged into one byte-sorted table), and each worker then mines whole
 // seeds against zero-copy entry spans, resolving rdata -> global id by
@@ -40,10 +40,6 @@
 #include "obs/profile.h"
 #include "pdns/db.h"
 #include "util/civil_time.h"
-
-namespace govdns::pdns {
-class MappedPdnsSnapshot;
-}  // namespace govdns::pdns
 
 namespace govdns::core {
 
@@ -161,14 +157,12 @@ class PdnsMiner {
   // (pinned by ParallelMineTest).
   MinedDataset Mine(const std::vector<SeedDomain>& seeds);
 
-  // Mines a pre-frozen snapshot — owning or memory-mapped — skipping the
-  // freeze phase entirely (the snapshot-file fast path; DESIGN.md §6i).
-  // Both overloads run the identical sharded pipeline over the identical
-  // entry data, so the dataset is byte-identical to Mine() on the source
+  // Mines a pre-frozen snapshot — frozen in memory or mapped from a file —
+  // skipping the freeze phase entirely (the snapshot-file fast path;
+  // DESIGN.md §6i). Mine() runs this same pipeline over the image it
+  // freezes, so the dataset is byte-identical to Mine() on the source
   // database, for any worker count (pinned by SnapshotFileTest).
   MinedDataset MineSnapshot(const pdns::PdnsSnapshot& snapshot,
-                            const std::vector<SeedDomain>& seeds);
-  MinedDataset MineSnapshot(const pdns::MappedPdnsSnapshot& snapshot,
                             const std::vector<SeedDomain>& seeds);
 
   // The heuristic the pipeline uses in place of the paper's manual
@@ -183,14 +177,9 @@ class PdnsMiner {
   static std::vector<int> ActiveQueryCountries(const MinedDataset& dataset);
 
  private:
-  // Shard + fold over any snapshot exposing the PdnsSnapshot lookup API.
-  template <typename Snapshot>
-  MinedDataset MineImpl(const Snapshot& snapshot,
+  // Intern pre-pass + shard + fold over a frozen snapshot.
+  MinedDataset MineImpl(const pdns::PdnsSnapshot& snapshot,
                         const std::vector<SeedDomain>& seeds);
-
-  // Emits the "mining.freeze" profile row for a pre-frozen substrate so the
-  // profile schema is substrate-independent (see mining.cc for rationale).
-  void RecordSnapshotAttach(size_t entries);
 
   const pdns::PdnsDatabase* db_;
   MiningConfig config_;

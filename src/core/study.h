@@ -49,12 +49,13 @@ struct StudyInputs {
   dns::QueryTransport* transport = nullptr;
   std::vector<geo::IPv4> root_hints;
   const pdns::PdnsDatabase* pdns = nullptr;
-  // Optional memory-mapped snapshot standing in for `pdns` during mining
-  // (the --map-snapshot fast path; DESIGN.md §6i). When set, RunMining
-  // mines it zero-copy — no freeze phase — and `pdns` may be null. The
-  // mined dataset is byte-identical either way, so the checkpoint identity
-  // does not depend on which substrate served mining.
-  const pdns::MappedPdnsSnapshot* pdns_snapshot = nullptr;
+  // Optional pre-frozen snapshot — in practice one mapped from a file —
+  // standing in for `pdns` during mining (the --map-snapshot fast path;
+  // DESIGN.md §6i). When set, RunMining mines it zero-copy — no freeze
+  // phase — and `pdns` may be null. The mined dataset is byte-identical
+  // either way, so the checkpoint identity does not depend on which
+  // substrate served mining.
+  const pdns::PdnsSnapshot* pdns_snapshot = nullptr;
   const geo::AsnDatabase* asn_db = nullptr;
   const registrar::RegistrarClient* registrar = nullptr;
   const registrar::PublicSuffixList* psl = nullptr;

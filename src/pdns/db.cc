@@ -117,62 +117,4 @@ std::vector<PdnsEntry> PdnsDatabase::Lookup(const dns::Name& rrname,
   return out;
 }
 
-PdnsSnapshot PdnsDatabase::Freeze() const {
-  PdnsSnapshot snap;
-  snap.names_.reserve(by_name_.size());
-  snap.offsets_.reserve(by_name_.size() + 1);
-  snap.entries_.reserve(entry_count_);
-  snap.offsets_.push_back(0);
-  // The map already iterates in canonical order; per-owner entry order is
-  // preserved so snapshot searches are entry-for-entry identical to the
-  // map-backed path.
-  for (const auto& [name, entries] : by_name_) {
-    snap.names_.push_back(name);
-    snap.entries_.insert(snap.entries_.end(), entries.begin(), entries.end());
-    snap.offsets_.push_back(snap.entries_.size());
-  }
-  return snap;
-}
-
-PdnsSnapshot PdnsSnapshot::FromSortedParts(std::vector<dns::Name> names,
-                                           std::vector<uint64_t> offsets,
-                                           std::vector<PdnsEntry> entries) {
-  GOVDNS_CHECK(offsets.size() == names.size() + 1);
-  GOVDNS_CHECK(offsets.front() == 0 && offsets.back() == entries.size());
-  GOVDNS_CHECK(std::is_sorted(offsets.begin(), offsets.end()));
-  GOVDNS_CHECK(std::is_sorted(names.begin(), names.end()));
-  PdnsSnapshot snap;
-  snap.names_ = std::move(names);
-  snap.offsets_ = std::move(offsets);
-  snap.entries_ = std::move(entries);
-  return snap;
-}
-
-std::pair<size_t, size_t> PdnsSnapshot::WildcardNameRange(
-    const dns::Name& suffix) const {
-  auto lo = std::lower_bound(names_.begin(), names_.end(), suffix);
-  // Within [lo, end) the subtree of `suffix` is a prefix (see header), so
-  // its end is a partition point rather than a linear scan.
-  auto hi = std::partition_point(lo, names_.end(), [&](const dns::Name& n) {
-    return n.IsSubdomainOf(suffix);
-  });
-  return {static_cast<size_t>(lo - names_.begin()),
-          static_cast<size_t>(hi - names_.begin())};
-}
-
-std::span<const PdnsEntry> PdnsSnapshot::WildcardSpan(
-    const dns::Name& suffix) const {
-  if (names_.empty()) return {};  // incl. default-constructed snapshots
-  auto [lo, hi] = WildcardNameRange(suffix);
-  return {entries_.data() + offsets_[lo], offsets_[hi] - offsets_[lo]};
-}
-
-std::vector<PdnsEntry> PdnsSnapshot::WildcardSearch(const dns::Name& suffix,
-                                                    const Query& query) const {
-  std::vector<PdnsEntry> out;
-  VisitWildcard(suffix, query,
-                [&](const PdnsEntry& entry) { out.push_back(entry); });
-  return out;
-}
-
 }  // namespace govdns::pdns

@@ -7,19 +7,16 @@
 // filtering. The world generator populates it by replaying ten years of
 // synthetic zone history through Observe().
 //
-// Two read paths exist:
-//   * the mutable, map-backed PdnsDatabase, used while the history is being
-//     ingested; and
-//   * a frozen PdnsSnapshot (from Freeze()), which lowers the node-based map
-//     into one flat, canonically sorted entry array with a per-owner offset
-//     index. Wildcard search on a snapshot is a binary-searched contiguous
-//     range returning non-owning spans — no per-query copies — which is what
-//     the sharded miner iterates at paper scale.
+// The map-backed PdnsDatabase is the ingest form and the reference search.
+// Freeze() lowers it into a PdnsSnapshot (snapshot_io.h): one flat,
+// canonically sorted image whose wildcard search is a binary-searched
+// contiguous range of non-owning entry views — what the sharded miner
+// iterates at paper scale, whether the image was frozen in memory or mapped
+// from a snapshot file.
 #pragma once
 
 #include <map>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,8 +38,8 @@ struct PdnsEntry {
   friend bool operator==(const PdnsEntry&, const PdnsEntry&) = default;
 };
 
-// Non-owning view of one entry: what a memory-mapped snapshot hands out
-// (snapshot_io.h), where the rdata bytes live in the mapping. The owner name
+// Non-owning view of one entry: what a frozen snapshot hands out
+// (snapshot_io.h), where the rdata bytes live in the image. The owner name
 // is implicit — callers iterate entries grouped by owner index.
 struct PdnsEntryView {
   dns::RRType type = dns::RRType::kNS;
@@ -71,84 +68,11 @@ struct Query {
 };
 
 // True when `entry` passes `query`. One predicate shared by the map-backed
-// database, the frozen snapshot, and the mapped snapshot, so the paths
-// cannot disagree.
+// database and the frozen snapshot, so the two cannot disagree.
 bool EntryMatches(const PdnsEntry& entry, const Query& query);
 bool EntryMatches(const PdnsEntryView& entry, const Query& query);
 
-// Immutable flat-index view of a database at Freeze() time. Owner names are
-// held in one canonically sorted array (canonical order clusters a suffix's
-// subtree into a contiguous run) and all entries live in one flat array
-// grouped by owner, so a wildcard search is two binary searches plus a
-// contiguous scan, and callers can iterate entries as non-owning spans.
-// Later Observe() calls on the source database do not affect a snapshot.
-class PdnsSnapshot {
- public:
-  PdnsSnapshot() = default;
-
-  // Rebuilds a snapshot from flat parts already in canonical order — the
-  // snapshot_io parse-load path. `offsets` must be names.size() + 1
-  // monotonic fenceposts from 0 to entries.size(); violations abort (the
-  // file decoder validates before calling).
-  static PdnsSnapshot FromSortedParts(std::vector<dns::Name> names,
-                                      std::vector<uint64_t> offsets,
-                                      std::vector<PdnsEntry> entries);
-
-  size_t entry_count() const { return entries_.size(); }
-  size_t name_count() const { return names_.size(); }
-
-  const dns::Name& name(size_t i) const { return names_[i]; }
-  // Entries owned by name(i), in the source database's per-owner order.
-  std::span<const PdnsEntry> entries(size_t i) const {
-    return {entries_.data() + offsets_[i],
-            static_cast<size_t>(offsets_[i + 1] - offsets_[i])};
-  }
-
-  // Every entry of every owner in the name-index range [lo, hi), as one flat
-  // span — the per-owner grouping collapsed. This is the substrate of the
-  // miner's intern pre-pass (DESIGN.md §6j), which only needs each entry's
-  // (type, rdata, seen) and not which owner it belongs to; iterating one
-  // span beats name_count() small spans.
-  std::span<const PdnsEntry> EntriesInNameRange(size_t lo, size_t hi) const {
-    return {entries_.data() + offsets_[lo],
-            static_cast<size_t>(offsets_[hi] - offsets_[lo])};
-  }
-
-  // Owner-index half-open range [lo, hi) of names equal to or under
-  // `suffix`. Valid because canonical order keeps the subtree contiguous:
-  // any name >= suffix that is not in the subtree differs from suffix in
-  // one of its rightmost LabelCount(suffix) labels and therefore sorts
-  // after every subtree member.
-  std::pair<size_t, size_t> WildcardNameRange(const dns::Name& suffix) const;
-
-  // All entries of the subtree under `suffix`, unfiltered, zero-copy.
-  std::span<const PdnsEntry> WildcardSpan(const dns::Name& suffix) const;
-
-  // Allocation-free wildcard search: invokes `visit(entry)` for every
-  // subtree entry matching `query`, in canonical order.
-  template <typename Visitor>
-  void VisitWildcard(const dns::Name& suffix, const Query& query,
-                     Visitor&& visit) const {
-    for (const PdnsEntry& entry : WildcardSpan(suffix)) {
-      if (EntryMatches(entry, query)) visit(entry);
-    }
-  }
-
-  // Thin copying wrapper over VisitWildcard for existing callers; returns
-  // exactly what the map-backed PdnsDatabase::WildcardSearch returns.
-  std::vector<PdnsEntry> WildcardSearch(const dns::Name& suffix,
-                                        const Query& query = Query()) const;
-
- private:
-  friend class PdnsDatabase;
-
-  // 64-bit fenceposts, deliberately: a uint32_t index here silently wraps
-  // once a swept-up world crosses 4Gi entries — the same truncation class
-  // the ckpt serializer fixed (serial.h).
-  std::vector<dns::Name> names_;     // canonical order
-  std::vector<uint64_t> offsets_;    // names_.size() + 1 fenceposts
-  std::vector<PdnsEntry> entries_;   // flat, grouped by owner
-};
+class PdnsSnapshot;  // snapshot_io.h
 
 class PdnsDatabase {
  public:
@@ -177,9 +101,10 @@ class PdnsDatabase {
   std::vector<PdnsEntry> Lookup(const dns::Name& rrname,
                                 const Query& query = Query()) const;
 
-  // Lowers the current contents into a flat, canonically sorted snapshot.
-  // O(entries); amortized across the many wildcard searches a mining pass
-  // performs. Entry-for-entry identical to the map-backed search results.
+  // Lowers the current contents straight into the snapshot image (defined
+  // in snapshot_io.cc, beside the format it emits). O(entries); amortized
+  // across the many wildcard searches a mining pass performs.
+  // Entry-for-entry identical to the map-backed search results.
   PdnsSnapshot Freeze() const;
 
   size_t entry_count() const { return entry_count_; }

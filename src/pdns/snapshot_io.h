@@ -1,30 +1,25 @@
-// PdnsSnapshot persistence: the on-disk checkpoint IS the in-memory format.
+// The frozen PDNS snapshot: one flat image, the same bytes in memory and on
+// disk.
 //
-// A frozen PdnsSnapshot serializes into a GVSN container (ckpt/
-// snapshot_file.h) as six flat sections — canonical name keys, name-key
-// fenceposts, per-owner entry fenceposts, packed fixed-width entry records,
-// and the concatenated rdata blob — all indexed by 64-bit file offsets.
-// Loading therefore has two paths:
-//
-//   * ReadPdnsSnapshotFileOwning ("parse-load"): decodes every section back
-//     into an owning PdnsSnapshot. O(entries); the compatibility path.
-//   * MappedPdnsSnapshot ("mapped"): mmaps the file and serves lookups
-//     straight from the mapping with zero parsing — open cost is O(1) in
-//     world size, names binary-search as raw canonical keys, and entries
-//     come out as non-owning PdnsEntryView records. This is what makes
-//     resume/restart cost independent of how large the swept world is.
-//
-// Both paths answer WildcardNameRange/VisitWildcard identically to the
-// owning snapshot they were written from (pinned by SnapshotFileTest's
-// randomized oracle).
+// A snapshot is six GVSN sections (ckpt/snapshot_file.h) — counts, canonical
+// name keys, name-key fenceposts, per-owner entry fenceposts, packed
+// fixed-width entry records, and the deduplicated rdata blob — all indexed
+// by 64-bit offsets. PdnsDatabase::Freeze() lowers its map straight into
+// those sections inside one owned, 64-byte-aligned buffer;
+// PdnsSnapshot::Open binds the very same view fields over a mmapped GVSN
+// file with zero parsing (open cost is O(1) in world size). Either way,
+// names binary-search as raw canonical keys and entries come out as
+// non-owning PdnsEntryView records, and WritePdnsSnapshotFile writes the
+// frozen sections as they lie, so the file IS the frozen image.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "ckpt/snapshot_file.h"
 #include "dns/name.h"
@@ -45,7 +40,7 @@ inline constexpr uint32_t kSecPdnsEntryOffsets = 4; // (names+1) x u64
 inline constexpr uint32_t kSecPdnsEntries = 5;      // entries x RawPdnsEntry
 inline constexpr uint32_t kSecPdnsRdata = 6;        // concatenated rdata
 
-// One entry as it lies in the file: fixed width, natural alignment, rdata
+// One entry as it lies in the image: fixed width, natural alignment, rdata
 // referenced by offset into the rdata section. 32 bytes so four entries
 // share a cache line during subtree scans.
 struct RawPdnsEntry {
@@ -58,47 +53,46 @@ struct RawPdnsEntry {
 };
 static_assert(sizeof(RawPdnsEntry) == 32, "file format is 32-byte entries");
 
-// Serializes `snap` and publishes it atomically (tmp + fsync + rename) at
-// `path` inside directory `dir`. `fingerprint` is the world/config identity
-// readers must present.
-util::Status WritePdnsSnapshotFile(const PdnsSnapshot& snap,
-                                   uint64_t fingerprint,
-                                   const std::string& dir,
-                                   const std::string& path);
-
-// Parse-load: fully decodes the file into an owning snapshot, validating
-// every section payload CRC (this path is O(entries) anyway).
-util::StatusOr<PdnsSnapshot> ReadPdnsSnapshotFileOwning(
-    const std::string& path, uint64_t fingerprint);
-
-// Zero-copy mapped snapshot. Mirrors the owning PdnsSnapshot's lookup API
-// (same method names and semantics) so code generic over either — the miner
-// — compiles against both.
-class MappedPdnsSnapshot {
+// Immutable flat-index view of a PDNS database. Owner names sit in
+// canonical order (which clusters a suffix's subtree into a contiguous run)
+// and entries are grouped by owner, so a wildcard search is two binary
+// searches plus a contiguous scan. Later Observe() calls on the source
+// database do not affect a snapshot. Move-only; the bound views survive a
+// move because neither the owned buffer nor the mapping relocates.
+class PdnsSnapshot {
  public:
-  // O(1) open: container CRCs + section bounds only. Pass
-  // SnapshotValidation::kFull to also verify every payload CRC (tests).
-  static util::StatusOr<MappedPdnsSnapshot> Open(
-      const std::string& path, uint64_t fingerprint,
-      ckpt::SnapshotValidation validation = ckpt::SnapshotValidation::kFast);
-  // As Open but via the no-mmap read fallback (benchmark baseline).
-  static util::StatusOr<MappedPdnsSnapshot> OpenReadOnly(
+  // The empty snapshot: what freezing an empty database yields.
+  PdnsSnapshot();
+
+  // O(1) open: container CRCs, section bounds and fencepost boundaries
+  // only. kFull also verifies every payload CRC and walks the interior in
+  // O(file size) — fenceposts monotonic, name keys parseable and strictly
+  // increasing, entry types known, every rdata extent inside the rdata
+  // section — so a file it accepts can be served without trusting its
+  // writer. Every failure is kDataLoss (kNotFound for a missing file).
+  static util::StatusOr<PdnsSnapshot> Open(
       const std::string& path, uint64_t fingerprint,
       ckpt::SnapshotValidation validation = ckpt::SnapshotValidation::kFast);
 
   size_t name_count() const { return name_count_; }
   size_t entry_count() const { return entry_count_; }
+  // True when served by an actual mmap (not a frozen image or the read
+  // fallback).
   bool mapped() const { return view_.mapped(); }
+
+  // Payload bytes of section `id` (kSecPdnsMeta..kSecPdnsRdata), exactly as
+  // a GVSN file stores them.
+  std::string_view section(uint32_t id) const;
 
   // Raw canonical key of name i (dns::Name::CanonicalKey bytes).
   std::string_view name_key(size_t i) const {
     return keys_.substr(name_offsets_[i],
                         name_offsets_[i + 1] - name_offsets_[i]);
   }
-  // Materializes name i; only output paths should need this.
+  // Materializes name i.
   dns::Name name(size_t i) const;
 
-  // Iterable, indexable range of PdnsEntryView over one owner's entries.
+  // Iterable range of PdnsEntryView over a run of entries.
   class EntryRange {
    public:
     class Iterator {
@@ -139,57 +133,83 @@ class MappedPdnsSnapshot {
     std::string_view rdata_;
   };
 
-  // Entries owned by name(i); views point into the mapping.
-  EntryRange entries(size_t i) const {
-    return {raw_entries_ + entry_offsets_[i], raw_entries_ + entry_offsets_[i + 1],
-            rdata_};
-  }
+  // Entries owned by name(i), in the source database's per-owner order.
+  EntryRange entries(size_t i) const { return EntriesInNameRange(i, i + 1); }
 
-  // Flat view of every entry in the name-index range [lo, hi) — the same
-  // contract as PdnsSnapshot::EntriesInNameRange, for code generic over the
-  // two substrates (the miner's intern pre-pass).
+  // Every entry of every owner in the name-index range [lo, hi), as one
+  // flat run — the per-owner grouping collapsed. This is the substrate of
+  // the miner's intern pre-pass (DESIGN.md §6j), which only needs each
+  // entry's (type, rdata, seen) and not which owner it belongs to.
   EntryRange EntriesInNameRange(size_t lo, size_t hi) const {
-    return {raw_entries_ + entry_offsets_[lo], raw_entries_ + entry_offsets_[hi],
-            rdata_};
+    return {raw_entries_ + entry_offsets_[lo],
+            raw_entries_ + entry_offsets_[hi], rdata_};
   }
 
-  // Same contract as PdnsSnapshot::WildcardNameRange, computed by binary
-  // search over the raw keys (no Name is materialized).
+  // Owner-index half-open range [lo, hi) of names equal to or under
+  // `suffix`, by binary search over the raw keys. Valid because canonical
+  // order keeps the subtree contiguous: any name >= suffix that is not in
+  // the subtree differs from suffix in one of its rightmost
+  // LabelCount(suffix) labels and therefore sorts after every subtree
+  // member.
   std::pair<size_t, size_t> WildcardNameRange(const dns::Name& suffix) const;
 
-  // Same contract as PdnsSnapshot::VisitWildcard, over views.
+  // Allocation-free wildcard search: invokes `visit(entry)` for every
+  // subtree entry matching `query`, in canonical order.
   template <typename Visitor>
   void VisitWildcard(const dns::Name& suffix, const Query& query,
                      Visitor&& visit) const {
     const auto [lo, hi] = WildcardNameRange(suffix);
-    for (size_t n = lo; n < hi; ++n) {
-      for (const PdnsEntryView entry : entries(n)) {
-        if (EntryMatches(entry, query)) visit(entry);
-      }
+    for (const PdnsEntryView entry : EntriesInNameRange(lo, hi)) {
+      if (EntryMatches(entry, query)) visit(entry);
     }
   }
 
-  // Materializing wrapper, result-identical to the owning snapshot's
-  // WildcardSearch on the same world (oracle-test surface).
-  std::vector<PdnsEntry> WildcardSearch(const dns::Name& suffix,
-                                        const Query& query = Query()) const;
-
  private:
-  // The owning loader decodes through a validated mapped view first.
-  friend util::StatusOr<PdnsSnapshot> ReadPdnsSnapshotFileOwning(
-      const std::string& path, uint64_t fingerprint);
+  friend class PdnsDatabase;  // Freeze() builds the image
 
-  static util::StatusOr<MappedPdnsSnapshot> FromView(
-      ckpt::SnapshotFileView view, const std::string& path);
+  struct AlignedDelete {
+    void operator()(char* p) const;
+  };
+  // Section payloads, indexed by section id - 1.
+  using Sections = std::array<std::string_view, kSecPdnsRdata>;
 
-  ckpt::SnapshotFileView view_;
+  // Copies `parts` into one owned buffer laid out as a GVSN file lays out
+  // its sections, and binds the view over it.
+  static PdnsSnapshot FromImage(const Sections& parts);
+  static util::StatusOr<PdnsSnapshot> FromView(
+      ckpt::SnapshotFileView view, const std::string& path,
+      ckpt::SnapshotValidation validation);
+  // Binds the view fields over `sections`, checking what O(1) can.
+  util::Status Bind(const Sections& sections, const std::string& path);
+  // The O(file size) interior walk behind SnapshotValidation::kFull.
+  util::Status CheckInterior(const std::string& path) const;
+
+  // At most one of these holds the bytes (neither for the empty snapshot).
+  ckpt::SnapshotFileView view_;                 // opened from a file
+  std::unique_ptr<char, AlignedDelete> image_;  // frozen in memory
+  Sections sections_;
   size_t name_count_ = 0;
   size_t entry_count_ = 0;
   std::string_view keys_;
+  // 64-bit fenceposts, deliberately: a uint32_t index here silently wraps
+  // once a swept-up world crosses 4Gi entries — the same truncation class
+  // the ckpt serializer fixed (serial.h).
   const uint64_t* name_offsets_ = nullptr;   // name_count_ + 1
   const uint64_t* entry_offsets_ = nullptr;  // name_count_ + 1
   const RawPdnsEntry* raw_entries_ = nullptr;
   std::string_view rdata_;
 };
+
+// perfbench/bench.cc still spells the file-backed name, and the benchmark
+// harness changes only together with its baseline.
+using MappedPdnsSnapshot = PdnsSnapshot;
+
+// Publishes the snapshot's sections atomically (tmp + fsync + rename) at
+// `path` inside directory `dir`. `fingerprint` is the world/config identity
+// readers must present.
+util::Status WritePdnsSnapshotFile(const PdnsSnapshot& snap,
+                                   uint64_t fingerprint,
+                                   const std::string& dir,
+                                   const std::string& path);
 
 }  // namespace govdns::pdns

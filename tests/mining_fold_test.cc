@@ -7,9 +7,9 @@
 // reimplementation of the pre-pool algorithm (hash-map interning in
 // first-appearance order, std::map-based mode computation), sharing no code
 // with the production miner beyond the public types. Every production
-// configuration — {1, 2, 4, 8} workers × {frozen, owning, mapped}
-// substrates — is pinned against it, along with the renumber pass's
-// first-seen id order and full-report byte identity across worker counts.
+// configuration — {1, 2, 4, 8} workers × {frozen, mapped} substrates — is
+// pinned against it, along with the renumber pass's first-seen id order and
+// full-report byte identity across worker counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -189,8 +189,8 @@ TEST(MiningFoldTest, MatchesSerialReferenceAcrossWorkersAndSubstrates) {
   ASSERT_GT(f.reference.domains.size(), 100u);
   ASSERT_GT(f.reference.ns_names.size(), 50u);
 
-  // Round-trip the frozen snapshot through a file so the owning and mapped
-  // substrates probe the exact production load paths.
+  // Round-trip the frozen snapshot through a file so the mapped substrate
+  // probes the exact production load path.
   const std::string dir =
       (fs::temp_directory_path() / "govdns_mining_fold").string();
   fs::remove_all(dir);
@@ -198,10 +198,9 @@ TEST(MiningFoldTest, MatchesSerialReferenceAcrossWorkersAndSubstrates) {
   const std::string path = dir + "/pdns.gvsn";
   ASSERT_TRUE(
       pdns::WritePdnsSnapshotFile(f.frozen, kFingerprint, dir, path).ok());
-  auto owning = pdns::ReadPdnsSnapshotFileOwning(path, kFingerprint);
-  auto mapped = pdns::MappedPdnsSnapshot::Open(
-      path, kFingerprint, ckpt::SnapshotValidation::kFull);
-  ASSERT_TRUE(owning.ok() && mapped.ok());
+  auto mapped = pdns::PdnsSnapshot::Open(path, kFingerprint,
+                                         ckpt::SnapshotValidation::kFull);
+  ASSERT_TRUE(mapped.ok());
 
   const std::vector<core::SeedDomain>& seeds = f.bound.study->seeds();
   for (int workers : {1, 2, 4, 8}) {
@@ -219,8 +218,6 @@ TEST(MiningFoldTest, MatchesSerialReferenceAcrossWorkersAndSubstrates) {
     EXPECT_TRUE(via_db == f.reference) << "db w=" << workers;
     EXPECT_TRUE(snap_miner.MineSnapshot(f.frozen, seeds) == f.reference)
         << "frozen w=" << workers;
-    EXPECT_TRUE(snap_miner.MineSnapshot(*owning, seeds) == f.reference)
-        << "owning w=" << workers;
     EXPECT_TRUE(snap_miner.MineSnapshot(*mapped, seeds) == f.reference)
         << "mapped w=" << workers;
   }

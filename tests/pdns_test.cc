@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+#include <vector>
+
 #include "pdns/db.h"
+#include "pdns/snapshot_io.h"
 #include "util/rng.h"
 
 namespace govdns::pdns {
@@ -143,8 +148,25 @@ TEST(PdnsTest, ZeroGapMergesOnlyAdjacent) {
 }
 
 // ---------------------------------------------------------------------------
-// Frozen flat-index snapshot
+// Frozen snapshot
 // ---------------------------------------------------------------------------
+
+// The snapshot's wildcard hits as owning entries, for comparison with the
+// map-backed reference search.
+std::vector<PdnsEntry> Materialize(const PdnsSnapshot& snap,
+                                   const Name& suffix,
+                                   const Query& query = Query()) {
+  std::vector<PdnsEntry> out;
+  const auto [lo, hi] = snap.WildcardNameRange(suffix);
+  for (size_t n = lo; n < hi; ++n) {
+    for (const PdnsEntryView e : snap.entries(n)) {
+      if (!EntryMatches(e, query)) continue;
+      out.push_back({snap.name(n), e.type, std::string(e.rdata), e.seen,
+                     e.count});
+    }
+  }
+  return out;
+}
 
 TEST(PdnsSnapshotTest, WildcardRangeExcludesLookalikeNeighbors) {
   PdnsDatabase db;
@@ -162,13 +184,12 @@ TEST(PdnsSnapshotTest, WildcardRangeExcludesLookalikeNeighbors) {
 
   auto [lo, hi] = snap.WildcardNameRange(Name::FromString("gov.au"));
   EXPECT_EQ(hi - lo, 2u);
-  auto hits = snap.WildcardSearch(Name::FromString("gov.au"));
+  auto hits = Materialize(snap, Name::FromString("gov.au"));
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].rdata, "a");
   EXPECT_EQ(hits[1].rdata, "b");
-  EXPECT_EQ(snap.WildcardSpan(Name::FromString("gov.au")).size(), 2u);
-  EXPECT_TRUE(snap.WildcardSearch(Name::FromString("gov.zz")).empty());
-  EXPECT_TRUE(snap.WildcardSpan(Name::FromString("gov.zz")).empty());
+  EXPECT_EQ(snap.EntriesInNameRange(lo, hi).size(), 2u);
+  EXPECT_TRUE(Materialize(snap, Name::FromString("gov.zz")).empty());
 }
 
 TEST(PdnsSnapshotTest, SnapshotIsImmutableAfterLaterObserves) {
@@ -178,25 +199,30 @@ TEST(PdnsSnapshotTest, SnapshotIsImmutableAfterLaterObserves) {
   db.Observe(Name::FromString("b.gov.xx"), RRType::kNS, "ns2", 100);
   EXPECT_EQ(snap.entry_count(), 1u);
   EXPECT_EQ(db.entry_count(), 2u);
-  EXPECT_EQ(snap.WildcardSearch(Name::FromString("gov.xx")).size(), 1u);
+  EXPECT_EQ(Materialize(snap, Name::FromString("gov.xx")).size(), 1u);
   EXPECT_EQ(db.WildcardSearch(Name::FromString("gov.xx")).size(), 2u);
 }
 
 TEST(PdnsSnapshotTest, EmptyAndDefaultSnapshotsAreSafe) {
   PdnsSnapshot defaulted;
-  EXPECT_TRUE(defaulted.WildcardSearch(Name::FromString("gov.xx")).empty());
+  EXPECT_TRUE(Materialize(defaulted, Name::FromString("gov.xx")).empty());
+  EXPECT_TRUE(Materialize(defaulted, Name::Root()).empty());
   PdnsDatabase db;
   PdnsSnapshot empty = db.Freeze();
   EXPECT_EQ(empty.entry_count(), 0u);
-  EXPECT_TRUE(empty.WildcardSpan(Name::FromString("gov.xx")).empty());
+  EXPECT_TRUE(Materialize(empty, Name::FromString("gov.xx")).empty());
+  // The default snapshot is the empty database's image, section for section.
+  for (uint32_t id = kSecPdnsMeta; id <= kSecPdnsRdata; ++id) {
+    EXPECT_EQ(defaulted.section(id), empty.section(id)) << "section " << id;
+  }
 }
 
-// Property: the frozen path agrees entry-for-entry with the map-backed path
-// across random databases and queries, including filters.
-class PdnsSnapshotOracle : public ::testing::TestWithParam<int> {};
-
-TEST_P(PdnsSnapshotOracle, FreezeMatchesMapBackedSearch) {
-  util::Rng rng(GetParam() * 7717);
+// Property: the snapshot agrees entry-for-entry with the map-backed
+// reference search across random databases and queries, including filters —
+// whether the image was frozen in memory or written to a GVSN file and
+// mapped back.
+void CheckSnapshotOracle(int seed, bool from_file) {
+  util::Rng rng(seed * 7717);
   static const char* kSuffixes[] = {"gov.au", "notgov.au", "xgov.au",
                                     "gov.aux", "go.au"};
   static const char* kLabels[] = {"health", "tax", "portal"};
@@ -215,8 +241,33 @@ TEST_P(PdnsSnapshotOracle, FreezeMatchesMapBackedSearch) {
     db.ObserveInterval(name, type, rdata, {start, start + len});
   }
   PdnsSnapshot snap = db.Freeze();
+  if (from_file) {
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("govdns_pdns_oracle_" + std::to_string(seed));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string path = (dir / "pdns.gvsn").string();
+    ASSERT_TRUE(WritePdnsSnapshotFile(snap, 1, dir.string(), path).ok());
+    auto opened =
+        PdnsSnapshot::Open(path, 1, ckpt::SnapshotValidation::kFull);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    snap = *std::move(opened);
+    std::filesystem::remove_all(dir);  // the open view keeps its bytes
+  }
   EXPECT_EQ(snap.entry_count(), db.entry_count());
   EXPECT_EQ(snap.name_count(), db.name_count());
+
+  // Probes: the seeds and their lookalikes, the root, a bare TLD, names
+  // present nowhere, and every owner plus a child it does not have.
+  std::vector<Name> probes = {Name::Root(), Name::FromString("au"),
+                              Name::FromString("gov.zz")};
+  for (const char* suffix : kSuffixes) probes.push_back(Name::FromString(suffix));
+  for (size_t i = 0; i < snap.name_count(); ++i) {
+    EXPECT_EQ(snap.name_key(i), snap.name(i).CanonicalKey());
+    probes.push_back(snap.name(i));
+    probes.push_back(snap.name(i).Child("nonexistent"));
+  }
 
   std::vector<Query> queries(4);
   queries[1].type = RRType::kNS;
@@ -225,18 +276,30 @@ TEST_P(PdnsSnapshotOracle, FreezeMatchesMapBackedSearch) {
   queries[3].window = util::DayInterval{100, 800};
   queries[3].min_seen_gap_days = 7;
 
-  for (const char* suffix_text : kSuffixes) {
-    Name suffix = Name::FromString(suffix_text);
+  for (const Name& probe : probes) {
     for (const Query& query : queries) {
-      auto expected = db.WildcardSearch(suffix, query);
-      // Copying wrapper and allocation-free visitor both match exactly.
-      EXPECT_EQ(snap.WildcardSearch(suffix, query), expected);
-      std::vector<PdnsEntry> visited;
-      snap.VisitWildcard(suffix, query,
-                         [&](const PdnsEntry& e) { visited.push_back(e); });
-      EXPECT_EQ(visited, expected);
+      const auto expected = db.WildcardSearch(probe, query);
+      EXPECT_EQ(Materialize(snap, probe, query), expected) << probe.ToString();
+      // The allocation-free visitor sees the same entries, in order.
+      std::vector<PdnsEntryView> visited, want;
+      snap.VisitWildcard(probe, query,
+                         [&](const PdnsEntryView& e) { visited.push_back(e); });
+      for (const PdnsEntry& e : expected) {
+        want.push_back({e.type, e.rdata, e.seen, e.count});
+      }
+      EXPECT_EQ(visited, want) << probe.ToString();
     }
   }
+}
+
+class PdnsSnapshotOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(PdnsSnapshotOracle, FreezeMatchesMapBackedSearch) {
+  CheckSnapshotOracle(GetParam(), /*from_file=*/false);
+}
+
+TEST_P(PdnsSnapshotOracle, MappedFileMatchesMapBackedSearch) {
+  CheckSnapshotOracle(GetParam(), /*from_file=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PdnsSnapshotOracle, ::testing::Range(1, 7));

@@ -1,15 +1,20 @@
 // Tests for the GVSN snapshot container (ckpt/snapshot_file.h) and the
-// mmap-able PdnsSnapshot persistence built on it (pdns/snapshot_io.h):
-// container round-trip and every rejection mode (wrong fingerprint/version,
-// truncation, corrupt payloads, misaligned sections), a randomized oracle
-// pinning the mapped snapshot's lookups to the owning snapshot's, and the
-// mining byte-identity contract across substrates and worker counts.
+// PdnsSnapshot image built on it (pdns/snapshot_io.h): container round-trip
+// and every rejection mode (wrong fingerprint/version, truncation, corrupt
+// payloads, misaligned sections), the file being byte-for-byte the frozen
+// image and its pinned on-disk bytes, kFull's interior walk over crafted
+// files whose CRCs are all valid, and the mining byte-identity contract
+// across substrates and worker counts. The lookup oracle lives in
+// pdns_test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -31,6 +36,10 @@ using dns::RRType;
 using util::DayFromYmd;
 
 constexpr uint64_t kFingerprint = 0xFEEDFACE12345678ull;
+
+// The file SnapshotFileTest.WrittenBytesArePinned must keep writing.
+constexpr size_t kPinnedSize = 830;
+constexpr uint32_t kPinnedCrc = 0xd32dcf5e;
 
 std::string TempDir(const std::string& tag) {
   std::string dir =
@@ -244,7 +253,7 @@ TEST(SnapshotContainerTest, RejectsDuplicateSectionIds) {
   EXPECT_EQ(status.code(), util::ErrorCode::kDataLoss);
 }
 
-// ---- pdns snapshot: randomized oracle -------------------------------------
+// ---- pdns snapshot: the file is the frozen image -------------------------
 
 // A deterministic pseudo-random government namespace: a few hundred owners
 // under two ccTLD seeds with NS/A/CNAME records across the study years.
@@ -305,88 +314,135 @@ struct PdnsFileFixture {
   ~PdnsFileFixture() { fs::remove_all(dir); }
 };
 
-TEST(SnapshotFileTest, MappedLookupsMatchOwningOracle) {
-  PdnsFileFixture f("oracle");
-  auto mapped = pdns::MappedPdnsSnapshot::Open(
-      f.path, kFingerprint, ckpt::SnapshotValidation::kFull);
+TEST(SnapshotFileTest, FileSectionsAreTheFrozenImage) {
+  PdnsFileFixture f("image");
+  auto mapped = pdns::PdnsSnapshot::Open(f.path, kFingerprint,
+                                         ckpt::SnapshotValidation::kFull);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ASSERT_EQ(mapped->name_count(), f.frozen.name_count());
-  ASSERT_EQ(mapped->entry_count(), f.frozen.entry_count());
-
-  // Every name materializes identically (and so does its canonical key).
-  for (size_t i = 0; i < mapped->name_count(); ++i) {
-    EXPECT_EQ(mapped->name(i), f.frozen.name(i)) << "name " << i;
-    EXPECT_EQ(mapped->name_key(i), f.frozen.name(i).CanonicalKey());
+  for (uint32_t id = pdns::kSecPdnsMeta; id <= pdns::kSecPdnsRdata; ++id) {
+    EXPECT_EQ(mapped->section(id), f.frozen.section(id)) << "section " << id;
   }
-
-  // Randomized suffix probes: existing owners, their parents, cousins that
-  // exist nowhere, the two seeds, and the root.
-  std::mt19937 rng(99);
-  std::uniform_int_distribution<size_t> pick(0, f.frozen.name_count() - 1);
-  std::vector<Name> probes = {Name::Root(), Name::FromString("gov.xx"),
-                              Name::FromString("gov.yy"),
-                              Name::FromString("gov.zz"),
-                              Name::FromString("xx")};
-  for (int i = 0; i < 200; ++i) {
-    Name n = f.frozen.name(pick(rng));
-    probes.push_back(n);
-    if (!n.IsRoot()) probes.push_back(n.Child("nonexistent"));
-  }
-  std::vector<pdns::Query> queries(3);
-  queries[1].type = RRType::kNS;
-  queries[2].type = RRType::kNS;
-  queries[2].min_seen_gap_days = 7;
-  queries[2].window =
-      util::DayInterval{DayFromYmd(2014, 1, 1), DayFromYmd(2017, 12, 31)};
-
-  for (const Name& probe : probes) {
-    EXPECT_EQ(mapped->WildcardNameRange(probe),
-              f.frozen.WildcardNameRange(probe))
-        << probe.ToString();
-    for (const auto& q : queries) {
-      EXPECT_EQ(mapped->WildcardSearch(probe, q),
-                f.frozen.WildcardSearch(probe, q))
-          << probe.ToString();
-    }
-  }
+  // A move keeps the bound views valid: the owned image does not relocate.
+  const std::string_view keys = f.frozen.section(pdns::kSecPdnsNameKeys);
+  const pdns::PdnsSnapshot moved = std::move(f.frozen);
+  EXPECT_EQ(moved.section(pdns::kSecPdnsNameKeys).data(), keys.data());
+  EXPECT_EQ(moved.section(pdns::kSecPdnsNameKeys),
+            mapped->section(pdns::kSecPdnsNameKeys));
 }
 
-TEST(SnapshotFileTest, ParseLoadReconstructsTheFrozenSnapshot) {
-  PdnsFileFixture f("parse");
-  auto owning = pdns::ReadPdnsSnapshotFileOwning(f.path, kFingerprint);
-  ASSERT_TRUE(owning.ok()) << owning.status().ToString();
-  ASSERT_EQ(owning->name_count(), f.frozen.name_count());
-  ASSERT_EQ(owning->entry_count(), f.frozen.entry_count());
-  for (size_t i = 0; i < owning->name_count(); ++i) {
-    EXPECT_EQ(owning->name(i), f.frozen.name(i));
-    const auto got = owning->entries(i);
-    const auto want = f.frozen.entries(i);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t e = 0; e < got.size(); ++e) EXPECT_EQ(got[e], want[e]);
+// A fixed, hand-built database whose GVSN file must never change: its size
+// and CRC come from the format's original writer, so any drift in section
+// layout, key encoding, entry packing or rdata dedup order — anything that
+// would strand existing files — fails here.
+TEST(SnapshotFileTest, WrittenBytesArePinned) {
+  pdns::PdnsDatabase db(/*merge_gap_days=*/30);
+  const Name gov_xx = Name::FromString("gov.xx");
+  const Name health = Name::FromString("health.gov.xx");
+  db.ObserveInterval(gov_xx, RRType::kNS, "ns1.gov.xx", {100, 400});
+  db.ObserveInterval(gov_xx, RRType::kNS, "ns2.provider.net", {150, 900}, 2);
+  db.ObserveInterval(Name::FromString("www.gov.xx"), RRType::kA, "192.0.2.1",
+                     {200, 210});
+  db.ObserveInterval(health, RRType::kNS, "ns2.provider.net", {300, 1300});
+  db.ObserveInterval(health, RRType::kNS, "ns2.provider.net", {1500, 1600});
+  db.ObserveInterval(Name::FromString("xgov.xx"), RRType::kCNAME,
+                     "cdn.provider.net", {50, 60});
+  db.Observe(Name::FromString("gov.yy"), RRType::kMX, "mail.gov.yy", 77, 3);
+
+  const std::string dir = TempDir("pinned");
+  const std::string path = dir + "/pdns.gvsn";
+  ASSERT_TRUE(
+      pdns::WritePdnsSnapshotFile(db.Freeze(), kFingerprint, dir, path).ok());
+  const std::string bytes = ReadFile(path);
+  EXPECT_EQ(bytes.size(), kPinnedSize);
+  EXPECT_EQ(ckpt::Crc32(bytes), kPinnedCrc);
+  fs::remove_all(dir);
+}
+
+// Writes the fixture's sections back through SnapshotFileWriter with
+// section `id` edited, so every CRC is valid and only kFull's interior walk
+// can tell the file is corrupt; returns the code of opening it under kFull.
+util::ErrorCode OpenCrafted(const std::string& tag, uint32_t id,
+                            const std::function<void(std::string&)>& edit) {
+  PdnsFileFixture f(tag);
+  auto view = ckpt::SnapshotFileView::Open(
+      f.path, pdns::kPdnsSnapshotFormatVersion, kFingerprint,
+      ckpt::SnapshotValidation::kFull);
+  GOVDNS_CHECK(view.ok());
+  ckpt::SnapshotFileWriter w(pdns::kPdnsSnapshotFormatVersion, kFingerprint);
+  for (uint32_t s = pdns::kSecPdnsMeta; s <= pdns::kSecPdnsRdata; ++s) {
+    std::string bytes(*view->Section(s));
+    if (s == id) edit(bytes);
+    w.AddSection(s, std::move(bytes));
   }
+  WriteFile(f.path, w.Assemble());
+  return pdns::PdnsSnapshot::Open(f.path, kFingerprint,
+                                  ckpt::SnapshotValidation::kFull)
+      .status()
+      .code();
+}
+
+// Overwrites the first entry's field at `offset` with `value`.
+template <typename T>
+std::function<void(std::string&)> PokeFirstEntry(size_t offset, T value) {
+  return [=](std::string& b) {
+    std::memcpy(b.data() + offset, &value, sizeof value);
+  };
+}
+
+TEST(SnapshotFileTest, FullValidationRejectsRdataOutsideItsSection) {
+  EXPECT_EQ(OpenCrafted("craft_rdata", pdns::kSecPdnsEntries,
+                        PokeFirstEntry(offsetof(pdns::RawPdnsEntry, rdata_off),
+                                       uint64_t{1} << 40)),
+            util::ErrorCode::kDataLoss);
+}
+
+TEST(SnapshotFileTest, FullValidationRejectsUnknownRRType) {
+  EXPECT_EQ(OpenCrafted("craft_type", pdns::kSecPdnsEntries,
+                        PokeFirstEntry(offsetof(pdns::RawPdnsEntry, type),
+                                       uint32_t{999})),
+            util::ErrorCode::kDataLoss);
+}
+
+TEST(SnapshotFileTest, FullValidationRejectsNonMonotonicEntryFenceposts) {
+  // Swapping fenceposts 1 and 2 (where owners 0 and 1 end) leaves both in
+  // range but out of order.
+  EXPECT_EQ(OpenCrafted("craft_fence", pdns::kSecPdnsEntryOffsets,
+                        [](std::string& b) {
+                          std::swap_ranges(b.begin() + 8, b.begin() + 16,
+                                           b.begin() + 16);
+                        }),
+            util::ErrorCode::kDataLoss);
+}
+
+TEST(SnapshotFileTest, FullValidationRejectsBadNameKey) {
+  // A leading NUL makes the first key's rightmost label empty.
+  EXPECT_EQ(OpenCrafted("craft_key", pdns::kSecPdnsNameKeys,
+                        [](std::string& b) { b[0] = '\0'; }),
+            util::ErrorCode::kDataLoss);
 }
 
 TEST(SnapshotFileTest, RejectsWrongFingerprintTruncationAndCorruption) {
   PdnsFileFixture f("reject");
-  EXPECT_FALSE(pdns::MappedPdnsSnapshot::Open(f.path, kFingerprint ^ 1).ok());
-  EXPECT_FALSE(
-      pdns::ReadPdnsSnapshotFileOwning(f.path, kFingerprint ^ 1).ok());
+  auto open_full = [](const std::string& path, uint64_t fingerprint) {
+    return pdns::PdnsSnapshot::Open(path, fingerprint,
+                                    ckpt::SnapshotValidation::kFull);
+  };
+  EXPECT_FALSE(pdns::PdnsSnapshot::Open(f.path, kFingerprint ^ 1).ok());
+  EXPECT_FALSE(open_full(f.path, kFingerprint ^ 1).ok());
 
   const std::string image = ReadFile(f.path);
   const std::string tampered_path = f.dir + "/tampered.gvsn";
   for (size_t keep :
        {size_t(0), size_t(16), image.size() / 2, image.size() - 3}) {
     WriteFile(tampered_path, image.substr(0, keep));
-    EXPECT_FALSE(
-        pdns::MappedPdnsSnapshot::Open(tampered_path, kFingerprint).ok())
+    EXPECT_FALSE(pdns::PdnsSnapshot::Open(tampered_path, kFingerprint).ok())
         << "keep=" << keep;
-    EXPECT_FALSE(
-        pdns::ReadPdnsSnapshotFileOwning(tampered_path, kFingerprint).ok());
+    EXPECT_FALSE(open_full(tampered_path, kFingerprint).ok());
   }
 
   // Flip one byte inside every section payload (extents read straight from
   // the section table; inter-section padding is deliberately excluded — no
-  // CRC covers it). The parse-load (kFull) path must reject every one.
+  // CRC covers it). kFull validation must reject every one.
   std::mt19937 rng(7);
   uint32_t section_count = 0;
   std::memcpy(&section_count, image.data() + 12, 4);
@@ -402,9 +458,7 @@ TEST(SnapshotFileTest, RejectsWrongFingerprintTruncationAndCorruption) {
     std::string bad = image;
     bad[pos_d(rng)] ^= 0x20;
     WriteFile(tampered_path, bad);
-    EXPECT_FALSE(
-        pdns::ReadPdnsSnapshotFileOwning(tampered_path, kFingerprint).ok())
-        << "section " << i;
+    EXPECT_FALSE(open_full(tampered_path, kFingerprint).ok()) << "section " << i;
   }
 }
 
@@ -424,10 +478,9 @@ TEST(SnapshotFileTest, MiningIsByteIdenticalAcrossSubstratesAndWorkers) {
   const auto baseline = db_miner.Mine(seeds);
   EXPECT_GT(baseline.domains.size(), 0u);
 
-  auto owning = pdns::ReadPdnsSnapshotFileOwning(f.path, kFingerprint);
-  auto mapped = pdns::MappedPdnsSnapshot::Open(
-      f.path, kFingerprint, ckpt::SnapshotValidation::kFull);
-  ASSERT_TRUE(owning.ok() && mapped.ok());
+  auto mapped = pdns::PdnsSnapshot::Open(f.path, kFingerprint,
+                                         ckpt::SnapshotValidation::kFull);
+  ASSERT_TRUE(mapped.ok());
 
   for (int workers : {1, 4}) {
     core::MinerOptions opts;
@@ -435,8 +488,6 @@ TEST(SnapshotFileTest, MiningIsByteIdenticalAcrossSubstratesAndWorkers) {
     core::PdnsMiner miner(config, opts);
     EXPECT_EQ(miner.MineSnapshot(f.frozen, seeds), baseline)
         << "frozen w=" << workers;
-    EXPECT_EQ(miner.MineSnapshot(*owning, seeds), baseline)
-        << "owning w=" << workers;
     EXPECT_EQ(miner.MineSnapshot(*mapped, seeds), baseline)
         << "mapped w=" << workers;
   }

@@ -272,7 +272,7 @@ int main(int argc, char** argv) {
     // report byte-identical — exchanges still execute inline on each lane's
     // thread under its own chaos context — while exercising the exact
     // submit/complete path a real-socket run uses.
-    std::optional<pdns::MappedPdnsSnapshot> mapped_snapshot;
+    std::optional<pdns::PdnsSnapshot> mapped_snapshot;
     std::unique_ptr<netio::QueryEngine> engine;
     worldgen::BoundStudy bound;
     bound.policy = std::make_unique<worldgen::PolicyLookupAdapter>(
@@ -460,7 +460,7 @@ int main(int argc, char** argv) {
     if (!map_snapshot_path.empty()) {
       phase = "snapshot-map";
       auto loaded =
-          pdns::MappedPdnsSnapshot::Open(map_snapshot_path, world_fp);
+          pdns::PdnsSnapshot::Open(map_snapshot_path, world_fp);
       if (!loaded.ok()) {
         PrintStructuredError(phase, loaded.status().ToString());
         return 1;

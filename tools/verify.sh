@@ -83,7 +83,7 @@ def check(sweep, tag):
     assert all(p["identical_to_serial"] for p in sweep["sweep"]), (tag, sweep)
     subs = sweep["substrates"]
     assert {(s["substrate"], s["workers"]) for s in subs} == \
-        {("owning", 1), ("owning", 4), ("mapped", 1), ("mapped", 4)}, (tag, subs)
+        {("frozen", 1), ("frozen", 4), ("mapped", 1), ("mapped", 4)}, (tag, subs)
     assert all(s["identical_to_serial"] for s in subs), (tag, subs)
     p4 = points[4]
     speedup = p4["speedup_vs_serial"] if doc["cores"] >= 4 \
@@ -181,19 +181,19 @@ cmp "${SMOKE_DIR}/snap_base.json" "${SMOKE_DIR}/snap_mapped.json"
 grep -q "mapped ${SNAP}" "${SMOKE_DIR}/snap_mapped.err"
 echo "smoke: mapped-snapshot report byte-identical OK"
 
-echo "==> smoke: bench_snapshot_io (mapped open beats parse-load)"
-# The zero-copy resume path must actually be faster than re-decoding, and
-# mining any snapshot substrate at 1 or 4 workers must reproduce the
-# database-mined dataset exactly.
+echo "==> smoke: bench_snapshot_io (mapped open beats re-freezing)"
+# The zero-copy resume path must actually be faster than re-freezing the
+# database, and mining either snapshot substrate (frozen, mapped) at 1 or 4
+# workers must reproduce the database-mined dataset exactly.
 GOVDNS_SCALE=0.05 GOVDNS_SNAPSHOT_JSON="${SMOKE_DIR}/BENCH_snapshot.json" \
   ./build/bench/bench_snapshot_io --benchmark_filter='^$' >/dev/null 2>&1
 python3 - "${SMOKE_DIR}/BENCH_snapshot.json" <<'EOF'
 import json, sys
 doc = json.loads(open(sys.argv[1]).read())
-assert doc["mapped_vs_parse_speedup"] > 1.0, doc
+assert doc["mapped_vs_freeze_speedup"] > 1.0, doc
 assert all(doc["mining_identity"].values()), doc
 print(f"smoke: bench_snapshot_io speedup "
-      f"{doc['mapped_vs_parse_speedup']:.1f}x, mining identity OK")
+      f"{doc['mapped_vs_freeze_speedup']:.1f}x, mining identity OK")
 EOF
 
 echo "==> smoke: bench_query_engine (async engine >=10x sync loop)"
