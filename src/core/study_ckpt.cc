@@ -37,7 +37,7 @@ std::string BatchFrameName(size_t seq) {
 
 void PutName(ckpt::Writer& w, const dns::Name& name) {
   w.U8(static_cast<uint8_t>(name.LabelCount()));
-  for (const std::string& label : name.labels()) w.Str(label);
+  for (size_t i = 0; i < name.LabelCount(); ++i) w.Str(name.Label(i));
 }
 
 bool GetName(ckpt::Reader& r, dns::Name* out) {
@@ -47,7 +47,7 @@ bool GetName(ckpt::Reader& r, dns::Name* out) {
   for (uint8_t i = 0; i < count; ++i) {
     if (!r.Str(&labels[i])) return false;
   }
-  auto name = dns::Name::FromLabels(std::move(labels));
+  auto name = dns::Name::FromLabels(labels);
   if (!name.ok()) return false;
   *out = *std::move(name);
   return true;

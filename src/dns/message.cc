@@ -1,5 +1,6 @@
 #include "dns/message.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "dns/wire.h"
@@ -80,6 +81,10 @@ util::StatusOr<Message> Message::Decode(const uint8_t* data, size_t len) {
     if (!v.ok()) return v.status();
     count = *v;
   }
+  // Reserve from the counts, capped by what the remaining bytes could hold
+  // (a question takes >= 5 octets, a record >= 11), so a forged count
+  // cannot make a short datagram allocate.
+  msg.questions.reserve(std::min<size_t>(counts[0], r.remaining() / 5));
   for (uint16_t i = 0; i < counts[0]; ++i) {
     Question q;
     auto name = r.ReadName();
@@ -98,6 +103,7 @@ util::StatusOr<Message> Message::Decode(const uint8_t* data, size_t len) {
   std::vector<ResourceRecord>* sections[] = {&msg.answers, &msg.authority,
                                              &msg.additional};
   for (int s = 0; s < 3; ++s) {
+    sections[s]->reserve(std::min<size_t>(counts[s + 1], r.remaining() / 11));
     for (uint16_t i = 0; i < counts[s + 1]; ++i) {
       auto rr = r.ReadRecord();
       if (!rr.ok()) return rr.status();

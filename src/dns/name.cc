@@ -1,19 +1,51 @@
 #include "dns/name.h"
 
-#include <algorithm>
 #include <ostream>
 
 #include "util/rng.h"
-#include "util/strings.h"
 
 namespace govdns::dns {
 
-bool IsValidLabel(std::string_view label) {
-  if (label.empty() || label.size() > 63) return false;
+namespace {
+
+constexpr size_t kMaxWireLength = 255;
+constexpr size_t kMaxLabelLength = 63;
+
+// Appends `label`, the key's next label (keys run rightmost-first), in
+// stored (lowercase) form and counts it. False if the label is empty,
+// over-long, or holds an octet outside the label alphabet.
+bool AppendLabel(std::string_view label, std::string* key, size_t* count) {
+  if (label.empty() || label.size() > kMaxLabelLength) return false;
+  if ((*count)++ > 0) key->push_back('\0');
   for (char c : label) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '-' || c == '_';
-    if (!ok) return false;
+    const char folded = kLabelOctetFold[static_cast<unsigned char>(c)];
+    if (folded == 0) return false;
+    key->push_back(folded);
+  }
+  return true;
+}
+
+// Calls fn(label) for each label of `key`, leftmost-first (the key stores
+// them rightmost-first, so this walks it back to front).
+template <typename Fn>
+void ForEachLabelLeftmostFirst(std::string_view key, Fn fn) {
+  if (key.empty()) return;
+  size_t end = key.size();
+  for (size_t i = key.size(); i-- > 0;) {
+    if (key[i] == '\0') {
+      fn(key.substr(i + 1, end - i - 1));
+      end = i;
+    }
+  }
+  fn(key.substr(0, end));
+}
+
+}  // namespace
+
+bool IsValidLabel(std::string_view label) {
+  if (label.empty() || label.size() > kMaxLabelLength) return false;
+  for (char c : label) {
+    if (kLabelOctetFold[static_cast<unsigned char>(c)] == 0) return false;
   }
   return true;
 }
@@ -22,19 +54,24 @@ util::StatusOr<Name> Name::Parse(std::string_view text) {
   if (text.empty()) return util::ParseError("empty name");
   if (text == ".") return Name();
   if (text.back() == '.') text.remove_suffix(1);
-  std::vector<std::string> labels;
-  size_t start = 0;
-  for (size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == '.') {
-      std::string_view label = text.substr(start, i - start);
-      if (!IsValidLabel(label)) {
+  // The key has exactly as many octets as the dotted text: n labels and
+  // n - 1 separators either way, only the label order is reversed.
+  if (text.size() + 2 > kMaxWireLength) {
+    return util::ParseError("name exceeds 255 octets");
+  }
+  std::string key;
+  key.reserve(text.size());
+  size_t count = 0;
+  size_t end = text.size();
+  for (size_t i = text.size() + 1; i-- > 0;) {
+    if (i == 0 || text[i - 1] == '.') {
+      if (!AppendLabel(text.substr(i, end - i), &key, &count)) {
         return util::ParseError("bad label in name: " + std::string(text));
       }
-      labels.push_back(util::ToLower(label));
-      start = i + 1;
+      end = i - (i > 0 ? 1 : 0);
     }
   }
-  return FromLabels(std::move(labels));
+  return Name(std::move(key), count);
 }
 
 Name Name::FromString(std::string_view text) {
@@ -43,108 +80,99 @@ Name Name::FromString(std::string_view text) {
   return *std::move(parsed);
 }
 
-util::StatusOr<Name> Name::FromLabels(std::vector<std::string> labels) {
-  size_t wire_len = 1;
-  for (auto& label : labels) {
-    if (!IsValidLabel(label)) {
-      return util::ParseError("invalid label: " + label);
-    }
-    label = util::ToLower(label);
-    wire_len += 1 + label.size();
-  }
-  if (wire_len > 255) return util::ParseError("name exceeds 255 octets");
-  return Name(std::move(labels));
-}
-
-std::string Name::ToString() const {
-  if (labels_.empty()) return ".";
-  std::string out;
-  for (size_t i = 0; i < labels_.size(); ++i) {
-    if (i > 0) out += '.';
-    out += labels_[i];
-  }
-  return out;
-}
-
-bool Name::IsSubdomainOf(const Name& other) const {
-  if (other.labels_.size() > labels_.size()) return false;
-  // Compare the rightmost labels.
-  return std::equal(other.labels_.rbegin(), other.labels_.rend(),
-                    labels_.rbegin());
-}
-
-bool Name::IsProperSubdomainOf(const Name& other) const {
-  return labels_.size() > other.labels_.size() && IsSubdomainOf(other);
-}
-
-Name Name::Parent() const {
-  GOVDNS_CHECK(!labels_.empty());
-  return Name(std::vector<std::string>(labels_.begin() + 1, labels_.end()));
-}
-
-Name Name::Child(std::string_view label) const {
-  std::vector<std::string> labels;
-  labels.reserve(labels_.size() + 1);
-  labels.emplace_back(label);
-  labels.insert(labels.end(), labels_.begin(), labels_.end());
-  auto name = FromLabels(std::move(labels));
-  GOVDNS_CHECK(name.ok());
-  return *std::move(name);
-}
-
-Name Name::Suffix(size_t count) const {
-  GOVDNS_CHECK(count <= labels_.size());
-  return Name(
-      std::vector<std::string>(labels_.end() - count, labels_.end()));
-}
-
-size_t Name::WireLength() const {
-  size_t len = 1;
-  for (const auto& label : labels_) len += 1 + label.size();
-  return len;
-}
-
-std::string Name::CanonicalKey() const {
+util::StatusOr<Name> Name::FromLabels(const std::vector<std::string>& labels) {
   std::string key;
-  key.reserve(WireLength());
-  for (auto it = labels_.rbegin(); it != labels_.rend(); ++it) {
-    if (!key.empty()) key += '\0';
-    key += *it;
+  size_t count = 0;
+  for (auto it = labels.rbegin(); it != labels.rend(); ++it) {
+    if (!AppendLabel(*it, &key, &count)) {
+      return util::ParseError("invalid label: " + *it);
+    }
   }
-  return key;
+  if (key.size() + 2 > kMaxWireLength) {
+    return util::ParseError("name exceeds 255 octets");
+  }
+  return Name(std::move(key), count);
 }
 
 util::StatusOr<Name> Name::FromCanonicalKey(std::string_view key) {
   if (key.empty()) return Name();
-  std::vector<std::string> labels;
-  size_t end = key.size();
-  // Labels come out leftmost-first by walking the key back to front.
-  for (size_t i = key.size(); i-- > 0;) {
-    if (key[i] == '\0') {
-      labels.emplace_back(key.substr(i + 1, end - i - 1));
-      end = i;
+  if (key.size() + 2 > kMaxWireLength) {
+    return util::ParseError("name exceeds 255 octets");
+  }
+  std::string folded;
+  folded.reserve(key.size());
+  size_t count = 0;
+  size_t start = 0;
+  for (size_t i = 0; i <= key.size(); ++i) {
+    if (i == key.size() || key[i] == '\0') {
+      if (!AppendLabel(key.substr(start, i - start), &folded, &count)) {
+        return util::ParseError("invalid label in canonical key");
+      }
+      start = i + 1;
     }
   }
-  labels.emplace_back(key.substr(0, end));
-  return FromLabels(std::move(labels));
+  return Name(std::move(folded), count);
 }
 
-std::strong_ordering Name::operator<=>(const Name& other) const {
-  // Canonical ordering: compare labels right to left.
-  size_t n = std::min(labels_.size(), other.labels_.size());
-  for (size_t i = 1; i <= n; ++i) {
-    const std::string& a = labels_[labels_.size() - i];
-    const std::string& b = other.labels_[other.labels_.size() - i];
-    if (auto cmp = a <=> b; cmp != 0) return cmp;
+std::string_view Name::Label(size_t i) const {
+  GOVDNS_CHECK(i < label_count_);
+  // Label i from the left is segment i from the end of the key.
+  const std::string_view key = key_;
+  size_t end = key.size();
+  for (;;) {
+    const size_t sep = key.rfind('\0', end - 1);
+    const size_t start = sep == std::string_view::npos ? 0 : sep + 1;
+    if (i-- == 0) return key.substr(start, end - start);
+    end = sep;
   }
-  return labels_.size() <=> other.labels_.size();
+}
+
+std::string Name::ToString() const {
+  if (key_.empty()) return ".";
+  std::string out;
+  out.reserve(key_.size());
+  ForEachLabelLeftmostFirst(key_, [&](std::string_view label) {
+    if (!out.empty()) out.push_back('.');
+    out.append(label);
+  });
+  return out;
+}
+
+Name Name::Parent() const {
+  GOVDNS_CHECK(label_count_ > 0);
+  const size_t sep = key_.rfind('\0');
+  return Name(sep == std::string::npos ? std::string() : key_.substr(0, sep),
+              label_count_ - 1);
+}
+
+Name Name::Child(std::string_view label) const {
+  std::string key;
+  key.reserve(key_.size() + 1 + label.size());
+  key = key_;
+  size_t count = label_count_;
+  GOVDNS_CHECK(AppendLabel(label, &key, &count));
+  GOVDNS_CHECK(key.size() + 2 <= kMaxWireLength);
+  return Name(std::move(key), count);
+}
+
+Name Name::Suffix(size_t count) const {
+  GOVDNS_CHECK(count <= label_count_);
+  if (count == label_count_) return *this;
+  size_t end = 0;
+  for (size_t seen = 0; seen < count; ++end) {
+    if (key_[end] == '\0' && ++seen == count) break;
+  }
+  return Name(key_.substr(0, end), count);
 }
 
 size_t Name::Hash::operator()(const Name& n) const {
+  // Labels hashed leftmost-first, each seeding the next. SharedCutCache
+  // picks a stripe by Hash % stripes, so these values are pinned
+  // (NameGoldenTest.HashValuesPinned).
   uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto& label : n.labels_) {
+  ForEachLabelLeftmostFirst(n.key_, [&](std::string_view label) {
     h = util::HashString(label, h);
-  }
+  });
   return static_cast<size_t>(h);
 }
 

@@ -4,22 +4,6 @@
 
 namespace govdns::dns {
 
-void WireWriter::WriteU8(uint8_t v) { buffer_.push_back(v); }
-
-void WireWriter::WriteU16(uint16_t v) {
-  buffer_.push_back(static_cast<uint8_t>(v >> 8));
-  buffer_.push_back(static_cast<uint8_t>(v & 0xFF));
-}
-
-void WireWriter::WriteU32(uint32_t v) {
-  WriteU16(static_cast<uint16_t>(v >> 16));
-  WriteU16(static_cast<uint16_t>(v & 0xFFFF));
-}
-
-void WireWriter::WriteBytes(const uint8_t* data, size_t len) {
-  buffer_.insert(buffer_.end(), data, data + len);
-}
-
 void WireWriter::PatchU16(size_t offset, uint16_t v) {
   GOVDNS_CHECK(offset + 2 <= buffer_.size());
   buffer_[offset] = static_cast<uint8_t>(v >> 8);
@@ -27,35 +11,38 @@ void WireWriter::PatchU16(size_t offset, uint16_t v) {
 }
 
 void WireWriter::WriteName(const Name& name) {
-  // Emit labels until a suffix we have already emitted appears; then emit a
-  // compression pointer to it. Record offsets for every new suffix that is
-  // still addressable by a 14-bit pointer.
-  const auto labels = name.labels();
-  for (size_t i = 0; i < labels.size(); ++i) {
-    Name suffix = name.Suffix(labels.size() - i);
-    std::string key = suffix.ToString();
-    auto it = compression_offsets_.find(key);
-    if (it != compression_offsets_.end()) {
-      WriteU16(static_cast<uint16_t>(0xC000 | it->second));
-      return;
+  // Labels go out leftmost-first, i.e. walking the key back to front. Before
+  // each label, the rest of the name is the suffix whose key is key[0, end):
+  // if it was emitted before, point at it and stop; otherwise remember it
+  // while a 14-bit pointer can still reach it, and emit the label.
+  const std::string& key = name.CanonicalKey();
+  const auto key_offset = static_cast<uint32_t>(suffix_keys_.size());
+  bool key_stored = false;
+  size_t end = key.size();
+  while (end > 0) {
+    for (const Suffix& s : suffixes_) {
+      if (s.key_len == end &&
+          std::memcmp(suffix_keys_.data() + s.key_offset, key.data(), end) ==
+              0) {
+        WriteU16(static_cast<uint16_t>(0xC000 | s.wire_offset));
+        return;
+      }
     }
     if (buffer_.size() <= 0x3FFF) {
-      compression_offsets_.emplace(key,
-                                   static_cast<uint16_t>(buffer_.size()));
+      // The first suffix recorded is the longest; later ones are prefixes.
+      if (!key_stored) suffix_keys_.append(key, 0, end);
+      key_stored = true;
+      suffixes_.push_back({key_offset, static_cast<uint16_t>(end),
+                           static_cast<uint16_t>(buffer_.size())});
     }
-    const std::string& label = labels[i];
-    WriteU8(static_cast<uint8_t>(label.size()));
-    WriteBytes(reinterpret_cast<const uint8_t*>(label.data()), label.size());
+    const size_t sep = key.rfind('\0', end - 1);
+    const size_t start = sep == std::string::npos ? 0 : sep + 1;
+    WriteU8(static_cast<uint8_t>(end - start));
+    WriteBytes(reinterpret_cast<const uint8_t*>(key.data() + start),
+               end - start);
+    end = sep == std::string::npos ? 0 : sep;
   }
   WriteU8(0);  // root
-}
-
-void WireWriter::WriteNameUncompressed(const Name& name) {
-  for (const std::string& label : name.labels()) {
-    WriteU8(static_cast<uint8_t>(label.size()));
-    WriteBytes(reinterpret_cast<const uint8_t*>(label.data()), label.size());
-  }
-  WriteU8(0);
 }
 
 namespace {
@@ -137,44 +124,59 @@ util::Status WireReader::ReadBytes(uint8_t* out, size_t len) {
   return util::Status::Ok();
 }
 
-util::StatusOr<Name> WireReader::ReadName() { return ReadNameAt(pos_, 0); }
-
-util::StatusOr<Name> WireReader::ReadNameAt(size_t& pos, int depth) {
-  if (depth > 32) return util::ParseError("compression pointer loop");
-  std::vector<std::string> labels;
+util::StatusOr<Name> WireReader::ReadName() {
+  // Pass 1 walks the labels, following pointers, and notes where each
+  // label's octets start. Pass 2 writes the canonical key rightmost label
+  // first from those offsets, validating and folding each octet on the way,
+  // so a label octet can never pose as the key's '\0' separator.
+  constexpr int kMaxPointerDepth = 32;
+  size_t label_at[127];  // each label costs >= 2 of the 255 wire octets
+  size_t labels = 0;
   size_t wire_len = 1;
+  int depth = 0;
+  size_t p = pos_;
+  size_t end_pos = 0;  // where the name ends in the stream; set once
   for (;;) {
-    if (pos >= len_) return util::ParseError("truncated name");
-    uint8_t len_byte = data_[pos];
+    if (p >= len_) return util::ParseError("truncated name");
+    const uint8_t len_byte = data_[p];
     if ((len_byte & 0xC0) == 0xC0) {
-      if (pos + 2 > len_) return util::ParseError("truncated pointer");
-      size_t target = (static_cast<size_t>(len_byte & 0x3F) << 8) |
-                      data_[pos + 1];
-      pos += 2;
-      if (target >= pos - 2) {
-        return util::ParseError("forward compression pointer");
+      if (p + 2 > len_) return util::ParseError("truncated pointer");
+      const size_t target =
+          (static_cast<size_t>(len_byte & 0x3F) << 8) | data_[p + 1];
+      if (target >= p) return util::ParseError("forward compression pointer");
+      if (++depth > kMaxPointerDepth) {
+        return util::ParseError("compression pointer loop");
       }
-      size_t tail_pos = target;
-      auto tail = ReadNameAt(tail_pos, depth + 1);
-      if (!tail.ok()) return tail.status();
-      for (const std::string& label : tail->labels()) {
-        labels.push_back(label);
-        wire_len += 1 + label.size();
-        if (wire_len > 255) return util::ParseError("name too long");
-      }
-      return Name::FromLabels(std::move(labels));
+      if (end_pos == 0) end_pos = p + 2;
+      p = target;
+      continue;
     }
     if ((len_byte & 0xC0) != 0) {
       return util::ParseError("reserved label type");
     }
-    ++pos;
-    if (len_byte == 0) return Name::FromLabels(std::move(labels));
-    if (pos + len_byte > len_) return util::ParseError("truncated label");
-    labels.emplace_back(reinterpret_cast<const char*>(data_ + pos), len_byte);
-    pos += len_byte;
+    ++p;
+    if (len_byte == 0) break;
+    if (p + len_byte > len_) return util::ParseError("truncated label");
     wire_len += 1 + len_byte;
     if (wire_len > 255) return util::ParseError("name too long");
+    label_at[labels++] = p;
+    p += len_byte;
   }
+  if (end_pos == 0) end_pos = p;
+
+  std::string key(labels == 0 ? 0 : wire_len - 2, '\0');
+  char* out = key.data();
+  for (size_t i = labels; i-- > 0;) {
+    const uint8_t* label = data_ + label_at[i];
+    for (const uint8_t* end = label + label[-1]; label != end; ++label) {
+      const char folded = kLabelOctetFold[*label];
+      if (folded == 0) return util::ParseError("invalid label octet");
+      *out++ = folded;
+    }
+    if (i > 0) ++out;  // the '\0' separator, already in place
+  }
+  pos_ = end_pos;
+  return Name(std::move(key), labels);
 }
 
 util::StatusOr<Rdata> ReadRdata(WireReader& reader, RRType type,

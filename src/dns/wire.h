@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -20,19 +19,33 @@ namespace govdns::dns {
 
 class WireWriter {
  public:
-  void WriteU8(uint8_t v);
-  void WriteU16(uint16_t v);
-  void WriteU32(uint32_t v);
-  void WriteBytes(const uint8_t* data, size_t len);
+  // Most messages fit the classic 512-octet UDP payload (RFC 1035 §4.2.1)
+  // and a few dozen name suffixes, so these reservations usually cover a
+  // whole message without regrowing.
+  WireWriter() {
+    buffer_.reserve(512);
+    suffix_keys_.reserve(256);
+    suffixes_.reserve(32);
+  }
 
-  // Writes a domain name, using a compression pointer to an earlier
-  // occurrence of the longest possible suffix (RFC 1035 §4.1.4).
+  void WriteU8(uint8_t v) { buffer_.push_back(v); }
+  void WriteU16(uint16_t v) {
+    const uint8_t bytes[2] = {static_cast<uint8_t>(v >> 8),
+                              static_cast<uint8_t>(v & 0xFF)};
+    WriteBytes(bytes, 2);
+  }
+  void WriteU32(uint32_t v) {
+    WriteU16(static_cast<uint16_t>(v >> 16));
+    WriteU16(static_cast<uint16_t>(v & 0xFFFF));
+  }
+  void WriteBytes(const uint8_t* data, size_t len) {
+    buffer_.insert(buffer_.end(), data, data + len);
+  }
+
+  // Writes a domain name, using a compression pointer to the first emitted
+  // occurrence of the longest possible suffix (RFC 1035 §4.1.4). A fresh
+  // writer has no earlier suffix, so its first name is written in full.
   void WriteName(const Name& name);
-
-  // Writes a name without compression (used inside rdata where some
-  // implementations forbid pointers; we allow compression only for NS/CNAME
-  // /PTR/SOA/MX rdata names as RFC 1035 does).
-  void WriteNameUncompressed(const Name& name);
 
   // Encodes a full resource record, including the RDLENGTH backpatch.
   void WriteRecord(const ResourceRecord& rr);
@@ -45,9 +58,20 @@ class WireWriter {
   void PatchU16(size_t offset, uint16_t v);
 
  private:
+  // An already-emitted name suffix that a 14-bit pointer can address: its
+  // canonical key is suffix_keys_[key_offset, key_offset + key_len), and its
+  // first label starts at buffer offset `wire_offset`. A suffix's key is a
+  // prefix of its name's key, so each written name's key is stored once and
+  // all of its recorded suffixes point into that copy.
+  struct Suffix {
+    uint32_t key_offset;
+    uint16_t key_len;
+    uint16_t wire_offset;
+  };
+
   std::vector<uint8_t> buffer_;
-  // Maps an already-emitted name suffix (presentation form) to its offset.
-  std::map<std::string, uint16_t> compression_offsets_;
+  std::string suffix_keys_;
+  std::vector<Suffix> suffixes_;
 };
 
 class WireReader {
@@ -61,8 +85,9 @@ class WireReader {
   util::StatusOr<uint32_t> ReadU32();
   util::Status ReadBytes(uint8_t* out, size_t len);
 
-  // Reads a (possibly compressed) domain name. Rejects pointer loops and
-  // forward pointers.
+  // Reads a (possibly compressed) domain name. Rejects pointer chains
+  // deeper than 32, forward and self pointers, names over 255 octets, and
+  // labels holding an octet outside the label alphabet; folds uppercase.
   util::StatusOr<Name> ReadName();
 
   // Decodes a full resource record starting at the current position.
@@ -73,8 +98,6 @@ class WireReader {
   bool AtEnd() const { return pos_ == len_; }
 
  private:
-  util::StatusOr<Name> ReadNameAt(size_t& pos, int depth);
-
   const uint8_t* data_;
   size_t len_;
   size_t pos_ = 0;

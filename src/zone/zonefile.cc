@@ -104,10 +104,10 @@ util::StatusOr<dns::Name> ResolveName(const std::string& token,
   // Relative: append the origin.
   auto relative = dns::Name::Parse(token);
   if (!relative.ok()) return relative.status();
-  std::vector<std::string> labels;
-  for (const auto& label : relative->labels()) labels.push_back(label);
-  for (const auto& label : origin.labels()) labels.push_back(label);
-  return dns::Name::FromLabels(std::move(labels));
+  if (origin.IsRoot()) return relative;
+  // Keys run rightmost-first, so the origin's key comes first.
+  return dns::Name::FromCanonicalKey(origin.CanonicalKey() + '\0' +
+                                     relative->CanonicalKey());
 }
 
 util::StatusOr<uint32_t> ParseU32(const std::string& token) {
@@ -333,10 +333,13 @@ namespace {
 std::string RelativeOwner(const dns::Name& name, const dns::Name& origin) {
   if (name == origin) return "@";
   if (name.IsProperSubdomainOf(origin)) {
-    std::vector<std::string> labels;
+    std::string owner;
     size_t keep = name.LabelCount() - origin.LabelCount();
-    for (size_t i = 0; i < keep; ++i) labels.push_back(name.Label(i));
-    return util::Join(labels, ".");
+    for (size_t i = 0; i < keep; ++i) {
+      if (i > 0) owner += '.';
+      owner += name.Label(i);
+    }
+    return owner;
   }
   return name.ToString() + ".";
 }

@@ -255,6 +255,38 @@ TEST(CkptResumeTest, RecoversFromDamagedBatchFrame) {
        &ckpt::JournalStats::rejected_truncated});
 }
 
+// ---- pinned frame bytes ---------------------------------------------------
+// A name in a GVCK payload is a label count, then each label leftmost-first
+// as a varint length and its bytes. The whole selection frame is pinned so
+// that a change to how names are stored cannot move a journaled byte.
+TEST(CkptGoldenTest, SelectionFrameNameBytesPinned) {
+  const std::string dir = TempDir("golden_names");
+  {
+    core::StudyCheckpoint ckpt(dir, kWorldFp);
+    ckpt.Bind(0x5EED);
+    core::StudyCheckpoint::SelectionSnapshot snap;
+    snap.seeds.push_back({7, dns::Name::FromString("WWW.Gov.AU")});
+    snap.seeds.push_back({8, dns::Name::Root()});
+    ckpt.SaveSelection(snap);
+  }
+  std::ifstream in(dir + "/selection.ck", std::ios::binary);
+  const std::string raw((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  const std::string name_bytes("\x03\x03www\x03gov\x02" "au", 12);
+  EXPECT_NE(raw.find(name_bytes), std::string::npos);
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : raw) {
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 0xF];
+  }
+  EXPECT_EQ(hex,
+            "4756434b02000000f4ea498b6b0f59cb000000003bf9b98b3000000000000000"
+            "010207000000030377777703676f760261750000080000000000000000000000"
+            "00000000000000000000000000000000");
+  fs::remove_all(dir);
+}
+
 // A journal written under a different config/world identity must be
 // rejected wholesale (fingerprint counter), then rebuilt from scratch.
 TEST(CkptResumeTest, RejectsJournalFromDifferentWorld) {
