@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
+#include <unordered_map>
 
 namespace govdns::core {
 
@@ -13,6 +15,44 @@ bool HostDefective(const NsHostResult& host) {
   return host.status != NsHostStatus::kAuthoritative;
 }
 
+bool Contains(const std::vector<dns::Name>& names, const dns::Name& name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+// The seeds keyed by the canonical key of their d_gov; among duplicate
+// seeds the first in input order is kept. A name's suffixes are prefixes of
+// its canonical key, so the longest seed enclosing it is the first suffix,
+// longest first, found here: a few hash probes per name instead of a scan
+// over every seed.
+class SeedIndex {
+ public:
+  explicit SeedIndex(const std::vector<SeedDomain>& seeds) {
+    by_key_.reserve(seeds.size());
+    for (size_t i = 0; i < seeds.size(); ++i) {
+      by_key_.emplace(std::string_view(seeds[i].d_gov.CanonicalKey()),
+                      static_cast<int>(i));
+    }
+  }
+
+  // Index of the longest seed whose d_gov is `name` or encloses it; -1 if
+  // none does.
+  int Longest(const dns::Name& name) const {
+    const std::string& key = name.CanonicalKey();
+    size_t len = key.size();
+    while (true) {
+      auto it = by_key_.find(std::string_view(key.data(), len));
+      if (it != by_key_.end()) return it->second;
+      if (len == 0) return -1;
+      // Drop the leftmost label: cut the key at its last separator.
+      const size_t cut = key.rfind('\0', len - 1);
+      len = cut == std::string::npos ? 0 : cut;
+    }
+  }
+
+ private:
+  std::unordered_map<std::string_view, int> by_key_;
+};
+
 }  // namespace
 
 ActiveDataset ActiveDataset::Build(std::vector<MeasurementResult> results,
@@ -23,22 +63,14 @@ ActiveDataset ActiveDataset::Build(std::vector<MeasurementResult> results,
   out.seeds = std::move(seeds);
   out.metas = std::move(metas);
   out.country.resize(out.results.size(), -1);
-  // Longest-match over seeds (jis.gov.jm-style seeds can nest under a TLD
-  // another seed also uses). Strictly-longer-only so the first seed in input
-  // order wins among equal-length matches: two same-length seeds that both
-  // enclose the domain are necessarily the same d_gov (duplicate seed rows,
-  // possibly with conflicting country metadata), and attribution must not
-  // depend on which duplicate happens to be listed last.
+  // Longest match over seeds (jis.gov.jm-style seeds can nest under a TLD
+  // another seed also uses). Among duplicate seed rows for one d_gov
+  // (possibly with conflicting country metadata) the first in input order
+  // wins, so attribution never depends on which duplicate is listed last.
+  const SeedIndex index(out.seeds);
   for (size_t i = 0; i < out.results.size(); ++i) {
-    int best = -1;
-    size_t best_labels = 0;
-    for (const SeedDomain& seed : out.seeds) {
-      if (!out.results[i].domain.IsSubdomainOf(seed.d_gov)) continue;
-      if (best >= 0 && seed.d_gov.LabelCount() <= best_labels) continue;
-      best = seed.country;
-      best_labels = seed.d_gov.LabelCount();
-    }
-    out.country[i] = best;
+    const int seed = index.Longest(out.results[i].domain);
+    if (seed >= 0) out.country[i] = out.seeds[seed].country;
   }
   return out;
 }
@@ -60,21 +92,21 @@ ActiveDataset::Funnel ActiveDataset::ComputeFunnel() const {
 
 ReplicationSummary AnalyzeReplication(const ActiveDataset& dataset) {
   ReplicationSummary out;
-  std::map<int, int64_t> count_hist;
-  std::map<int, ReplicationSummary::CountryRow> by_country;
+  std::vector<int64_t> count_hist;  // indexed by |P ∪ C|
+  std::vector<ReplicationSummary::CountryRow> by_country(dataset.metas.size());
 
   for (size_t i = 0; i < dataset.results.size(); ++i) {
     const MeasurementResult& r = dataset.results[i];
     if (!r.parent_has_records) continue;
     ++out.domains_considered;
-    int ns_count = static_cast<int>(r.AllNs().size());
+    const size_t ns_count = r.AllNsCount();
+    if (ns_count >= count_hist.size()) count_hist.resize(ns_count + 1, 0);
     ++count_hist[ns_count];
 
     int c = dataset.country[i];
     ReplicationSummary::CountryRow* row = nullptr;
     if (c >= 0) {
       row = &by_country[c];
-      row->code = dataset.metas[c].code;
       ++row->domains;
     }
     if (ns_count == 1) {
@@ -93,20 +125,26 @@ ReplicationSummary AnalyzeReplication(const ActiveDataset& dataset) {
   }
 
   int64_t cumulative = 0;
-  for (const auto& [count, freq] : count_hist) {
-    cumulative += freq;
+  for (size_t count = 0; count < count_hist.size(); ++count) {
+    if (count_hist[count] == 0) continue;
+    cumulative += count_hist[count];
     out.ns_count_cdf.emplace_back(
-        count, double(cumulative) / double(out.domains_considered));
+        static_cast<int>(count),
+        double(cumulative) / double(out.domains_considered));
   }
   if (out.domains_considered > 0) {
-    int64_t singles = count_hist.count(1) ? count_hist[1] : 0;
+    int64_t singles = count_hist.size() > 1 ? count_hist[1] : 0;
     out.pct_at_least_two =
         1.0 - double(singles) / double(out.domains_considered);
   }
   if (out.d1ns_count > 0) {
     out.d1ns_stale_pct /= double(out.d1ns_count);
   }
-  for (auto& [c, row] : by_country) out.by_country.push_back(std::move(row));
+  for (size_t c = 0; c < by_country.size(); ++c) {
+    if (by_country[c].domains == 0) continue;
+    by_country[c].code = dataset.metas[c].code;
+    out.by_country.push_back(std::move(by_country[c]));
+  }
   return out;
 }
 
@@ -135,53 +173,66 @@ struct DiversityAcc {
   }
 };
 
+// Sorts `keys` and returns how many are distinct: the per-result /24 and
+// ASN counts of the diversity passes, in buffers reused across results.
+size_t CountDistinct(std::vector<uint32_t>& keys) {
+  std::sort(keys.begin(), keys.end());
+  return static_cast<size_t>(std::unique(keys.begin(), keys.end()) -
+                             keys.begin());
+}
+
 }  // namespace
 
 std::vector<DiversityRow> AnalyzeDiversity(
     const ActiveDataset& dataset, const geo::AsnDatabase& asn_db,
     const std::vector<std::string>& country_codes) {
   DiversityAcc total;
-  std::map<std::string, DiversityAcc> per_country;
-  std::map<int, std::string> wanted;  // country index -> code
+  // Per requested code (first position of each distinct code), and the
+  // requested slot of every country index (-1: not requested).
+  std::vector<DiversityAcc> per_code(country_codes.size());
+  auto code_slot = [&](const std::string& code) {
+    return static_cast<int>(
+        std::find(country_codes.begin(), country_codes.end(), code) -
+        country_codes.begin());
+  };
+  std::vector<int> wanted(dataset.metas.size(), -1);
   for (size_t i = 0; i < dataset.metas.size(); ++i) {
-    for (const std::string& code : country_codes) {
-      if (dataset.metas[i].code == code) wanted[static_cast<int>(i)] = code;
-    }
+    const int slot = code_slot(dataset.metas[i].code);
+    if (slot < static_cast<int>(country_codes.size())) wanted[i] = slot;
   }
 
+  std::vector<geo::IPv4> addrs;
+  std::vector<uint32_t> prefixes, asns;
   for (size_t i = 0; i < dataset.results.size(); ++i) {
     const MeasurementResult& r = dataset.results[i];
     if (!r.parent_has_records) continue;
-    if (r.AllNs().size() < 2) continue;  // multi-NS domains only
-    std::vector<geo::IPv4> addrs = r.NsAddresses();
+    if (r.AllNsCount() < 2) continue;  // multi-NS domains only
+    r.NsAddresses(addrs);
     if (addrs.empty()) continue;
 
-    std::set<uint32_t> prefixes;
-    std::set<uint32_t> asns;
+    prefixes.clear();
+    asns.clear();
     for (geo::IPv4 ip : addrs) {
-      prefixes.insert(ip.Slash24().bits());
-      if (auto info = asn_db.Lookup(ip)) asns.insert(info->asn);
+      prefixes.push_back(ip.Slash24().bits());
+      if (const geo::AsnInfo* info = asn_db.Lookup(ip)) asns.push_back(info->asn);
     }
+    const size_t n_prefixes = CountDistinct(prefixes);
+    const size_t n_asns = CountDistinct(asns);
     auto bump = [&](DiversityAcc& acc) {
       ++acc.domains;
       if (addrs.size() > 1) ++acc.multi_ip;
-      if (prefixes.size() > 1) ++acc.multi_24;
-      if (asns.size() > 1) ++acc.multi_asn;
+      if (n_prefixes > 1) ++acc.multi_24;
+      if (n_asns > 1) ++acc.multi_asn;
     };
     bump(total);
     int c = dataset.country[i];
-    if (c >= 0) {
-      auto it = wanted.find(c);
-      if (it != wanted.end()) bump(per_country[it->second]);
-    }
+    if (c >= 0 && wanted[c] >= 0) bump(per_code[wanted[c]]);
   }
 
   std::vector<DiversityRow> rows;
   rows.push_back(total.Finish("Total"));
   for (const std::string& code : country_codes) {
-    auto it = per_country.find(code);
-    rows.push_back(it == per_country.end() ? DiversityRow{code, 0, 0, 0, 0}
-                                           : it->second.Finish(code));
+    rows.push_back(per_code[code_slot(code)].Finish(code));
   }
   return rows;
 }
@@ -189,15 +240,17 @@ std::vector<DiversityRow> AnalyzeDiversity(
 std::vector<LevelDiversityRow> AnalyzeDiversityByLevel(
     const ActiveDataset& dataset) {
   std::map<int, std::pair<int64_t, int64_t>> acc;  // level -> (multi24, total)
+  std::vector<geo::IPv4> addrs;
+  std::vector<uint32_t> prefixes;
   for (const MeasurementResult& r : dataset.results) {
-    if (!r.parent_has_records || r.AllNs().size() < 2) continue;
-    std::vector<geo::IPv4> addrs = r.NsAddresses();
+    if (!r.parent_has_records || r.AllNsCount() < 2) continue;
+    r.NsAddresses(addrs);
     if (addrs.empty()) continue;
-    std::set<uint32_t> prefixes;
-    for (geo::IPv4 ip : addrs) prefixes.insert(ip.Slash24().bits());
+    prefixes.clear();
+    for (geo::IPv4 ip : addrs) prefixes.push_back(ip.Slash24().bits());
     int level = static_cast<int>(r.domain.LabelCount());
     ++acc[level].second;
-    if (prefixes.size() > 1) ++acc[level].first;
+    if (CountDistinct(prefixes) > 1) ++acc[level].first;
   }
   std::vector<LevelDiversityRow> out;
   for (const auto& [level, counts] : acc) {
@@ -230,7 +283,7 @@ DelegationHealth ClassifyDelegation(const MeasurementResult& result) {
 
 DelegationSummary AnalyzeDelegations(const ActiveDataset& dataset) {
   DelegationSummary out;
-  std::map<int, DelegationSummary::CountryRow> by_country;
+  std::vector<DelegationSummary::CountryRow> by_country(dataset.metas.size());
   for (size_t i = 0; i < dataset.results.size(); ++i) {
     const MeasurementResult& r = dataset.results[i];
     if (!r.parent_has_records) continue;
@@ -240,7 +293,6 @@ DelegationSummary AnalyzeDelegations(const ActiveDataset& dataset) {
     DelegationSummary::CountryRow* row = nullptr;
     if (c >= 0) {
       row = &by_country[c];
-      row->code = dataset.metas[c].code;
       ++row->domains;
     }
     if (health == DelegationHealth::kPartiallyDefective) {
@@ -251,7 +303,11 @@ DelegationSummary AnalyzeDelegations(const ActiveDataset& dataset) {
       if (row != nullptr) ++row->full;
     }
   }
-  for (auto& [c, row] : by_country) out.by_country.push_back(std::move(row));
+  for (size_t c = 0; c < by_country.size(); ++c) {
+    if (by_country[c].domains == 0) continue;
+    by_country[c].code = dataset.metas[c].code;
+    out.by_country.push_back(std::move(by_country[c]));
+  }
   return out;
 }
 
@@ -264,38 +320,47 @@ ConsistencyClass ClassifyConsistency(const MeasurementResult& result) {
       !result.child_any_authoritative) {
     return ConsistencyClass::kNotComparable;
   }
-  std::set<dns::Name> p(result.parent_ns.begin(), result.parent_ns.end());
-  std::set<dns::Name> c(result.child_ns.begin(), result.child_ns.end());
-  if (p == c) return ConsistencyClass::kEqual;
-  std::vector<dns::Name> common;
-  std::set_intersection(p.begin(), p.end(), c.begin(), c.end(),
-                        std::back_inserter(common));
-  if (!common.empty()) {
-    if (std::includes(c.begin(), c.end(), p.begin(), p.end())) {
-      return ConsistencyClass::kChildSuperset;
+  // Set relations of P and C by membership scans: an NS set is a handful of
+  // names, so this is cheaper than building either set.
+  const std::vector<dns::Name>& p = result.parent_ns;
+  const std::vector<dns::Name>& c = result.child_ns;
+  bool common = false;
+  bool p_in_c = true;  // P ⊆ C
+  for (const dns::Name& name : p) {
+    if (Contains(c, name)) {
+      common = true;
+    } else {
+      p_in_c = false;
     }
-    if (std::includes(p.begin(), p.end(), c.begin(), c.end())) {
-      return ConsistencyClass::kParentSuperset;
-    }
+  }
+  const bool c_in_p = std::all_of(c.begin(), c.end(), [&](const dns::Name& n) {
+    return Contains(p, n);
+  });
+  if (p_in_c && c_in_p) return ConsistencyClass::kEqual;
+  if (common) {
+    if (p_in_c) return ConsistencyClass::kChildSuperset;
+    if (c_in_p) return ConsistencyClass::kParentSuperset;
     return ConsistencyClass::kOverlapNeither;
   }
-  // Disjoint name sets: compare IP(P) vs IP(C).
-  std::set<geo::IPv4> ip_p, ip_c;
-  for (const NsHostResult& host : result.hosts) {
-    for (geo::IPv4 ip : host.addresses) {
-      if (p.contains(host.host)) ip_p.insert(ip);
-      if (c.contains(host.host)) ip_c.insert(ip);
+  // Disjoint name sets: is some address of a P host also one of a C host?
+  for (const NsHostResult& p_host : result.hosts) {
+    if (p_host.addresses.empty() || !Contains(p, p_host.host)) continue;
+    for (const NsHostResult& c_host : result.hosts) {
+      if (!Contains(c, c_host.host)) continue;
+      for (geo::IPv4 ip : p_host.addresses) {
+        if (std::find(c_host.addresses.begin(), c_host.addresses.end(), ip) !=
+            c_host.addresses.end()) {
+          return ConsistencyClass::kDisjointSharedIp;
+        }
+      }
     }
-  }
-  for (geo::IPv4 ip : ip_p) {
-    if (ip_c.contains(ip)) return ConsistencyClass::kDisjointSharedIp;
   }
   return ConsistencyClass::kDisjoint;
 }
 
 ConsistencySummary AnalyzeConsistency(const ActiveDataset& dataset) {
   ConsistencySummary out;
-  std::map<int, ConsistencySummary::CountryRow> by_country;
+  std::vector<ConsistencySummary::CountryRow> by_country(dataset.metas.size());
   int64_t disagree_total = 0;
   int64_t disagree_with_defect = 0;
 
@@ -313,7 +378,6 @@ ConsistencySummary AnalyzeConsistency(const ActiveDataset& dataset) {
     int c = dataset.country[i];
     if (c >= 0) {
       auto& row = by_country[c];
-      row.code = dataset.metas[c].code;
       ++row.comparable;
       if (klass != ConsistencyClass::kEqual) ++row.disagree;
     }
@@ -332,7 +396,11 @@ ConsistencySummary AnalyzeConsistency(const ActiveDataset& dataset) {
     out.pct_disagree_with_partial_defect =
         double(disagree_with_defect) / double(disagree_total);
   }
-  for (auto& [c, row] : by_country) out.by_country.push_back(std::move(row));
+  for (size_t c = 0; c < by_country.size(); ++c) {
+    if (by_country[c].comparable == 0) continue;
+    by_country[c].code = dataset.metas[c].code;
+    out.by_country.push_back(std::move(by_country[c]));
+  }
   return out;
 }
 
@@ -345,11 +413,9 @@ HijackSummary AnalyzeHijackRisk(const ActiveDataset& dataset,
                                 const registrar::RegistrarClient& registrar) {
   HijackSummary out;
 
+  const SeedIndex seeds(dataset.seeds);
   auto is_government = [&](const dns::Name& name) {
-    for (const SeedDomain& seed : dataset.seeds) {
-      if (name.IsSubdomainOf(seed.d_gov)) return true;
-    }
-    return false;
+    return seeds.Longest(name) >= 0;
   };
 
   struct NsDomainInfo {
@@ -358,37 +424,37 @@ HijackSummary AnalyzeHijackRisk(const ActiveDataset& dataset,
   };
   std::map<dns::Name, NsDomainInfo> defective_refs;
   std::map<dns::Name, NsDomainInfo> dangling_refs;
+  auto add_ref = [&](std::map<dns::Name, NsDomainInfo>& refs,
+                     const dns::Name& host, size_t i) {
+    if (is_government(host)) return;
+    auto reg = psl.RegisteredDomain(host);
+    if (!reg) return;
+    auto& info = refs[*reg];
+    info.domains.insert(i);
+    if (dataset.country[i] >= 0) info.countries.insert(dataset.country[i]);
+  };
 
   for (size_t i = 0; i < dataset.results.size(); ++i) {
     const MeasurementResult& r = dataset.results[i];
     if (!r.parent_has_records) continue;
-    const bool any_defect = ClassifyDelegation(r) != DelegationHealth::kHealthy;
-    ConsistencyClass klass = ClassifyConsistency(r);
-
-    if (any_defect) {
+    if (ClassifyDelegation(r) != DelegationHealth::kHealthy) {
       for (const NsHostResult& host : r.hosts) {
         if (!host.in_parent_set || !HostDefective(host)) continue;
-        if (is_government(host.host)) continue;
-        auto reg = psl.RegisteredDomain(host.host);
-        if (!reg) continue;
-        auto& info = defective_refs[*reg];
-        info.domains.insert(i);
-        if (dataset.country[i] >= 0) info.countries.insert(dataset.country[i]);
+        add_ref(defective_refs, host.host, i);
       }
-    } else if (klass != ConsistencyClass::kEqual &&
-               klass != ConsistencyClass::kNotComparable) {
+      continue;
+    }
+    ConsistencyClass klass = ClassifyConsistency(r);
+    if (klass != ConsistencyClass::kEqual &&
+        klass != ConsistencyClass::kNotComparable) {
       // §IV-D: inconsistent but fully responsive — dangling candidates are
       // the NS names not present in both P and C.
-      std::set<dns::Name> p(r.parent_ns.begin(), r.parent_ns.end());
-      std::set<dns::Name> c(r.child_ns.begin(), r.child_ns.end());
       for (const NsHostResult& host : r.hosts) {
-        bool in_both = p.contains(host.host) && c.contains(host.host);
-        if (in_both || is_government(host.host)) continue;
-        auto reg = psl.RegisteredDomain(host.host);
-        if (!reg) continue;
-        auto& info = dangling_refs[*reg];
-        info.domains.insert(i);
-        if (dataset.country[i] >= 0) info.countries.insert(dataset.country[i]);
+        if (Contains(r.parent_ns, host.host) &&
+            Contains(r.child_ns, host.host)) {
+          continue;
+        }
+        add_ref(dangling_refs, host.host, i);
       }
     }
   }

@@ -3,6 +3,12 @@
 // ActiveDataset bundles the per-domain MeasurementResults with the country
 // metadata needed for the per-country breakdowns; the free functions below
 // each regenerate one figure or table of the paper's evaluation.
+//
+// Each analysis is one single-threaded pass over the results. Per-country
+// rows accumulate in vectors indexed by country (`metas`) and come out in
+// country-index order; NS sets are compared by membership scans and address
+// sets by sort + unique in reused buffers, so no per-result work builds a
+// set or map (DESIGN.md §6m).
 #pragma once
 
 #include <map>
@@ -24,7 +30,9 @@ struct ActiveDataset {
   std::vector<CountryMeta> metas;
   std::vector<SeedDomain> seeds;
 
-  // Maps each measured domain to the seed whose d_gov contains it.
+  // Maps each measured domain to the longest seed d_gov containing it (the
+  // first in input order among duplicate seeds), by looking up the
+  // domain's suffixes in a hash of the seeds' canonical keys.
   static ActiveDataset Build(std::vector<MeasurementResult> results,
                              std::vector<SeedDomain> seeds,
                              std::vector<CountryMeta> metas);

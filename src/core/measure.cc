@@ -22,20 +22,40 @@ const char* QuarantineReasonName(QuarantineReason reason) {
   return "unknown";
 }
 
-std::vector<geo::IPv4> MeasurementResult::NsAddresses() const {
-  std::vector<geo::IPv4> out;
+void MeasurementResult::NsAddresses(std::vector<geo::IPv4>& out) const {
+  out.clear();
   for (const NsHostResult& h : hosts) {
     out.insert(out.end(), h.addresses.begin(), h.addresses.end());
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 std::vector<dns::Name> MeasurementResult::AllNs() const {
-  std::set<dns::Name> names(parent_ns.begin(), parent_ns.end());
-  names.insert(child_ns.begin(), child_ns.end());
-  return {names.begin(), names.end()};
+  std::vector<dns::Name> out;
+  out.reserve(parent_ns.size() + child_ns.size());
+  out.insert(out.end(), parent_ns.begin(), parent_ns.end());
+  out.insert(out.end(), child_ns.begin(), child_ns.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+size_t MeasurementResult::AllNsCount() const {
+  // Each name counts at its first occurrence in P, then C. An NS set is a
+  // handful of names, so these scans are cheaper than building the union.
+  size_t count = 0;
+  for (auto it = parent_ns.begin(); it != parent_ns.end(); ++it) {
+    if (std::find(parent_ns.begin(), it, *it) == it) ++count;
+  }
+  for (auto it = child_ns.begin(); it != child_ns.end(); ++it) {
+    if (std::find(parent_ns.begin(), parent_ns.end(), *it) ==
+            parent_ns.end() &&
+        std::find(child_ns.begin(), it, *it) == it) {
+      ++count;
+    }
+  }
+  return count;
 }
 
 ActiveMeasurer::ActiveMeasurer(IterativeResolver* resolver,

@@ -110,10 +110,14 @@ struct MeasurementResult {
   // reason this domain was cut short and must be read as partial coverage.
   QuarantineReason quarantine_reason = QuarantineReason::kNone;
 
-  // All distinct addresses of the domain's nameservers (for Table I).
-  std::vector<geo::IPv4> NsAddresses() const;
-  // Convenience: the union P ∪ C.
+  // Replaces `out` with the distinct addresses of the domain's
+  // nameservers, sorted (for Table I). A pass over many results reuses one
+  // buffer.
+  void NsAddresses(std::vector<geo::IPv4>& out) const;
+  // The union P ∪ C, sorted in canonical order and distinct.
   std::vector<dns::Name> AllNs() const;
+  // |P ∪ C| without building the union: what the §IV analyzers need.
+  size_t AllNsCount() const;
 
   // Full-field equality: used by the checkpoint tests to prove a journaled
   // result decodes back bit-for-bit.

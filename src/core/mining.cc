@@ -7,7 +7,6 @@
 #include <iterator>
 #include <limits>
 #include <optional>
-#include <set>
 #include <span>
 #include <string_view>
 #include <thread>
@@ -17,6 +16,7 @@
 #include "util/arena.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/strings.h"
 
 namespace govdns::core {
 
@@ -651,60 +651,75 @@ std::vector<int> PdnsMiner::ActiveQueryCountries(const MinedDataset& dataset) {
 std::vector<YearlyCounts> CountPerYear(const MinedDataset& dataset) {
   const int years = dataset.config.year_count();
   std::vector<YearlyCounts> out(years);
-  std::vector<std::set<int>> countries(years);
-  std::vector<std::set<int32_t>> nameservers(years);
   for (int y = 0; y < years; ++y) {
     out[y].year = dataset.config.first_year + y;
   }
+  // Countries are counted over [min, max] of the ids present, so an unknown
+  // country (-1) counts as one more country.
+  int country_lo = 0, country_hi = -1;
+  if (!dataset.domains.empty()) {
+    const auto [lo, hi] = std::ranges::minmax_element(
+        dataset.domains, {}, &MinedDomain::country);
+    country_lo = lo->country;
+    country_hi = hi->country;
+  }
+  const size_t country_span = static_cast<size_t>(country_hi - country_lo + 1);
+  const size_t stride = static_cast<size_t>(years);
+  // Per-year "seen" flags, id-major (a domain keeps mostly the same NS ids
+  // from year to year, so its flags share cache lines): a distinct id is
+  // counted the first time its flag for that year flips.
+  std::vector<uint8_t> country_seen(country_span * stride);
+  std::vector<uint8_t> ns_seen(dataset.ns_names.size() * stride);
   for (const MinedDomain& domain : dataset.domains) {
+    const size_t country = static_cast<size_t>(domain.country - country_lo);
+    uint8_t* country_years = &country_seen[country * stride];
     for (int y = 0; y < years; ++y) {
       if (!domain.HasData(y)) continue;
-      ++out[y].domains;
-      countries[y].insert(domain.country);
-      nameservers[y].insert(domain.years[y].ns_ids.begin(),
-                            domain.years[y].ns_ids.end());
+      YearlyCounts& row = out[y];
+      ++row.domains;
+      row.countries += country_years[y] == 0;
+      country_years[y] = 1;
+      for (int32_t id : domain.years[y].ns_ids) {
+        uint8_t& seen = ns_seen[static_cast<size_t>(id) * stride + y];
+        row.nameservers += seen == 0;
+        seen = 1;
+      }
     }
-  }
-  for (int y = 0; y < years; ++y) {
-    out[y].countries = static_cast<int64_t>(countries[y].size());
-    out[y].nameservers = static_cast<int64_t>(nameservers[y].size());
   }
   return out;
 }
 
 std::vector<D1nsChurnRow> D1nsChurn(const MinedDataset& dataset) {
   const int years = dataset.config.year_count();
-  // Per year: the set of d_1NS (by domain index).
-  std::vector<std::set<size_t>> d1ns(years);
-  std::vector<std::set<size_t>> has_data(years);
-  for (size_t i = 0; i < dataset.domains.size(); ++i) {
-    const MinedDomain& domain = dataset.domains[i];
+  // Per year: d_1NS domains, those also d_1NS in the first year (overlap) or
+  // not d_1NS the year before (fresh), and first-year d_1NS without data.
+  std::vector<int64_t> d1ns(years, 0), overlap(years, 0), fresh(years, 0),
+      gone(years, 0);
+  for (const MinedDomain& domain : dataset.domains) {
+    const bool first_d1ns = years > 0 && domain.years[0].mode_ns_count == 1;
+    bool prev_d1ns = false;
     for (int y = 0; y < years; ++y) {
-      if (!domain.HasData(y)) continue;
-      has_data[y].insert(i);
-      if (domain.years[y].mode_ns_count == 1) d1ns[y].insert(i);
+      const bool is_d1ns = domain.years[y].mode_ns_count == 1;
+      if (is_d1ns) {
+        ++d1ns[y];
+        overlap[y] += first_d1ns;
+        fresh[y] += !prev_d1ns;
+      }
+      if (first_d1ns && !domain.HasData(y)) ++gone[y];
+      prev_d1ns = is_d1ns;
     }
   }
   std::vector<D1nsChurnRow> out;
   for (int y = 0; y < years; ++y) {
     D1nsChurnRow row;
     row.year = dataset.config.first_year + y;
-    row.d1ns_total = static_cast<int64_t>(d1ns[y].size());
-    if (y > 0 && !d1ns[y].empty()) {
-      int64_t overlap_2011 = 0, fresh = 0;
-      for (size_t i : d1ns[y]) {
-        if (d1ns[0].contains(i)) ++overlap_2011;
-        if (!d1ns[y - 1].contains(i)) ++fresh;
-      }
-      row.pct_overlap_2011 = double(overlap_2011) / double(d1ns[y].size());
-      row.pct_new_vs_prev = double(fresh) / double(d1ns[y].size());
+    row.d1ns_total = d1ns[y];
+    if (y > 0 && d1ns[y] > 0) {
+      row.pct_overlap_2011 = double(overlap[y]) / double(d1ns[y]);
+      row.pct_new_vs_prev = double(fresh[y]) / double(d1ns[y]);
     }
-    if (y > 0 && !d1ns[0].empty()) {
-      int64_t gone = 0;
-      for (size_t i : d1ns[0]) {
-        if (!has_data[y].contains(i)) ++gone;
-      }
-      row.pct_2011_cohort_gone = double(gone) / double(d1ns[0].size());
+    if (y > 0 && d1ns[0] > 0) {
+      row.pct_2011_cohort_gone = double(gone[y]) / double(d1ns[0]);
     }
     out.push_back(row);
   }
@@ -717,28 +732,43 @@ std::vector<PrivateShareRow> PrivateShare(
   std::vector<int64_t> d1ns_total(years, 0), d1ns_private(years, 0);
   std::vector<int64_t> all_total(years, 0), all_private(years, 0);
 
-  // Parse each interned hostname once; every (domain, year) referencing the
-  // id then reuses the parsed Name for its subdomain check. nullopt marks a
-  // hostname that failed to parse (never inside any d_gov).
-  std::vector<std::optional<dns::Name>> parsed(dataset.ns_names.size());
-  std::vector<bool> parse_tried(dataset.ns_names.size(), false);
-  auto parsed_ns = [&](int32_t id) -> const std::optional<dns::Name>& {
-    auto& slot = parsed[static_cast<size_t>(id)];
-    if (!parse_tried[static_cast<size_t>(id)]) {
-      parse_tried[static_cast<size_t>(id)] = true;
-      auto ns = dns::Name::Parse(dataset.NsName(id));
-      if (ns.ok()) slot = *std::move(ns);
+  // Each d_gov as text: lowercase, no trailing dot, "." for the root.
+  std::vector<std::string> gov_text;
+  gov_text.reserve(seeds.size());
+  for (const SeedDomain& seed : seeds) {
+    gov_text.push_back(seed.d_gov.ToString());
+  }
+  // Whether each interned hostname parses, decided on its first use; one
+  // that does not is never inside any d_gov.
+  enum : uint8_t { kUnparsed, kValid, kInvalid };
+  std::vector<uint8_t> validity(dataset.ns_names.size(), kUnparsed);
+  // Parse(hostname) is `gov` or below it, decided on the text: folded and
+  // without a trailing dot, the hostname is `gov` or ends in "." + `gov`.
+  // Only a hostname that passes is parsed, to check it is a valid name.
+  auto inside = [&](int32_t id, std::string_view gov) {
+    std::string_view host = dataset.NsName(id);
+    if (gov != ".") {
+      if (host.size() > 1 && host.back() == '.') host.remove_suffix(1);
+      if (host.size() < gov.size()) return false;
+      const size_t lead = host.size() - gov.size();
+      if (lead > 0 && host[lead - 1] != '.') return false;
+      for (size_t i = 0; i < gov.size(); ++i) {
+        if (util::AsciiLower(host[lead + i]) != gov[i]) return false;
+      }
     }
-    return slot;
+    uint8_t& valid = validity[static_cast<size_t>(id)];
+    if (valid == kUnparsed) {
+      valid = dns::Name::Parse(dataset.NsName(id)).ok() ? kValid : kInvalid;
+    }
+    return valid == kValid;
   };
   for (const MinedDomain& domain : dataset.domains) {
-    const dns::Name& d_gov = seeds[domain.seed_index].d_gov;
+    const std::string_view gov = gov_text[domain.seed_index];
     for (int y = 0; y < years; ++y) {
       if (!domain.HasData(y)) continue;
       bool all_inside = true;
       for (int32_t id : domain.years[y].ns_ids) {
-        const std::optional<dns::Name>& ns = parsed_ns(id);
-        if (!ns.has_value() || !ns->IsSubdomainOf(d_gov)) {
+        if (!inside(id, gov)) {
           all_inside = false;
           break;
         }

@@ -187,6 +187,13 @@ class PdnsMiner {
 };
 
 // ---- Longitudinal aggregates over a mined dataset -------------------------
+//
+// Each aggregate is one single-threaded pass over the domains that indexes
+// flat per-year arrays by NS id, country or year (DESIGN.md §6m); no
+// per-domain work allocates or touches a node-based container. The integer
+// numerators and denominators are those of the plain set formulations, so
+// every double is bit-identical to them (pinned by ReportTest and
+// aggregate_model_test).
 
 struct YearlyCounts {
   int year = 0;
@@ -194,7 +201,7 @@ struct YearlyCounts {
   int64_t countries = 0;
   int64_t nameservers = 0;  // distinct hostnames
 };
-// Figures 2 and 3.
+// Figures 2 and 3. An unknown country (-1) counts as one more country.
 std::vector<YearlyCounts> CountPerYear(const MinedDataset& dataset);
 
 struct D1nsChurnRow {
@@ -214,7 +221,7 @@ struct PrivateShareRow {
 };
 // Figure 7: a domain-year counts as private when every stable NS hostname
 // that year sits inside the domain's own d_gov (a lower bound, as in the
-// paper).
+// paper). A hostname that does not parse as a name is never inside.
 std::vector<PrivateShareRow> PrivateShare(const MinedDataset& dataset,
                                           const std::vector<SeedDomain>& seeds);
 

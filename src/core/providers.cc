@@ -1,8 +1,7 @@
 #include "core/providers.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <string_view>
 
 #include "util/strings.h"
 
@@ -63,18 +62,39 @@ std::vector<ProviderRule> DefaultProviderRules() {
 }
 
 ProviderMatcher::ProviderMatcher(std::vector<ProviderRule> rules)
-    : rules_(std::move(rules)) {}
+    : rules_(std::move(rules)) {
+  folded_.reserve(rules_.size());
+  for (const ProviderRule& rule : rules_) {
+    FoldedNsPatterns& folded = folded_.emplace_back();
+    for (const std::string& s : rule.ns_suffixes) {
+      folded.suffixes.push_back(util::ToLower(s));
+    }
+    for (const std::string& s : rule.ns_substrings) {
+      folded.substrings.push_back(util::ToLower(s));
+    }
+  }
+}
 
 int ProviderMatcher::MatchNs(const std::string& hostname) const {
-  for (size_t i = 0; i < rules_.size(); ++i) {
-    const ProviderRule& rule = rules_[i];
-    for (const std::string& suffix : rule.ns_suffixes) {
-      if (util::EndsWithIgnoreCase(hostname, suffix)) {
-        return static_cast<int>(i);
-      }
+  // Case-insensitive suffix/substring tests, as plain ones on folded text.
+  // A hostname fits the stack buffer; only an over-long string allocates.
+  char buffer[256];
+  std::string long_host;
+  std::string_view host;
+  if (hostname.size() <= sizeof(buffer)) {
+    std::transform(hostname.begin(), hostname.end(), buffer,
+                   [](char c) { return util::AsciiLower(c); });
+    host = std::string_view(buffer, hostname.size());
+  } else {
+    long_host = util::ToLower(hostname);
+    host = long_host;
+  }
+  for (size_t i = 0; i < folded_.size(); ++i) {
+    for (const std::string& suffix : folded_[i].suffixes) {
+      if (host.ends_with(suffix)) return static_cast<int>(i);
     }
-    for (const std::string& sub : rule.ns_substrings) {
-      if (util::ContainsIgnoreCase(hostname, sub)) return static_cast<int>(i);
+    for (const std::string& sub : folded_[i].substrings) {
+      if (host.find(sub) != std::string::npos) return static_cast<int>(i);
     }
   }
   return -1;
@@ -97,61 +117,94 @@ ProviderAnalyzer::ProviderAnalyzer(const ProviderMatcher* matcher,
                                    std::vector<CountryMeta> countries)
     : matcher_(matcher), countries_(std::move(countries)) {
   GOVDNS_CHECK(matcher != nullptr);
+  // Grouping units that exist at all: distinct sub-regions + top-10.
+  std::vector<std::string> keys;
+  keys.reserve(countries_.size());
+  for (const CountryMeta& meta : countries_) {
+    keys.push_back(ProviderGroupKey(meta));
+  }
+  std::vector<std::string> distinct = keys;
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  group_count_ = static_cast<int64_t>(distinct.size());
+  country_group_.reserve(keys.size());
+  for (const std::string& key : keys) {
+    country_group_.push_back(static_cast<int>(
+        std::lower_bound(distinct.begin(), distinct.end(), key) -
+        distinct.begin()));
+  }
 }
 
 ProviderYearTable ProviderAnalyzer::Analyze(const MinedDataset& dataset,
                                             int year) const {
+  return std::move(AnalyzeYears(dataset, {year}).front());
+}
+
+std::vector<ProviderYearTable> ProviderAnalyzer::AnalyzeYears(
+    const MinedDataset& dataset, const std::vector<int>& years) const {
+  std::vector<int> ns_rule(dataset.ns_names.size(), kNotMatched);
+  std::vector<ProviderYearTable> out;
+  out.reserve(years.size());
+  for (int year : years) out.push_back(AnalyzeYear(dataset, year, ns_rule));
+  return out;
+}
+
+ProviderYearTable ProviderAnalyzer::AnalyzeYear(
+    const MinedDataset& dataset, int year, std::vector<int>& ns_rule) const {
   const int y = year - dataset.config.first_year;
   GOVDNS_CHECK(y >= 0 && y < dataset.config.year_count());
 
   const auto& rules = matcher_->rules();
+  const size_t n_groups = static_cast<size_t>(group_count_);
+  const size_t n_countries = countries_.size();
   ProviderYearTable table;
   table.year = year;
-
-  // Grouping units that exist at all: distinct sub-regions + top-10.
-  std::set<std::string> all_groups;
-  for (const CountryMeta& meta : countries_) {
-    all_groups.insert(ProviderGroupKey(meta));
-  }
-  table.total_groups = static_cast<int64_t>(all_groups.size());
-
-  // Interned NS id -> rule match, computed lazily once.
-  std::vector<int> ns_match(dataset.ns_names.size(), -2);
-  auto match_of = [&](int32_t id) {
-    if (ns_match[id] == -2) ns_match[id] = matcher_->MatchNs(dataset.NsName(id));
-    return ns_match[id];
-  };
+  table.total_groups = group_count_;
 
   struct Acc {
     int64_t domains = 0;
     int64_t d1p = 0;
-    std::set<std::string> groups;
-    std::set<int> countries;
+    int64_t groups = 0;
+    int64_t countries = 0;
   };
   std::vector<Acc> acc(rules.size());
+  // Rule-major "seen" flags over dense group and country ids.
+  std::vector<uint8_t> group_seen(rules.size() * n_groups);
+  std::vector<uint8_t> country_seen(rules.size() * n_countries);
+  std::vector<int> matched;  // distinct rules of one domain's NS set
 
   for (const MinedDomain& domain : dataset.domains) {
     if (!domain.HasData(y)) continue;
     ++table.total_domains;
-    const auto& ids = domain.years[y].ns_ids;
-    std::set<int> matched;
+    matched.clear();
     bool any_unmatched = false;
-    for (int32_t id : ids) {
-      int m = match_of(id);
-      if (m >= 0) {
-        matched.insert(m);
-      } else {
+    for (int32_t id : domain.years[y].ns_ids) {
+      int& m = ns_rule[static_cast<size_t>(id)];
+      if (m == kNotMatched) m = matcher_->MatchNs(dataset.NsName(id));
+      if (m < 0) {
         any_unmatched = true;
+      } else if (std::find(matched.begin(), matched.end(), m) ==
+                 matched.end()) {
+        matched.push_back(m);
       }
     }
     if (matched.empty()) continue;
-    const CountryMeta& meta = countries_[domain.country];
+    const size_t country = static_cast<size_t>(domain.country);
+    GOVDNS_CHECK(country < n_countries);
+    const size_t group = static_cast<size_t>(country_group_[country]);
+    // d_1P: the whole NS set belongs to this single provider.
+    const bool d1p = matched.size() == 1 && !any_unmatched;
     for (int m : matched) {
-      ++acc[m].domains;
-      acc[m].groups.insert(ProviderGroupKey(meta));
-      acc[m].countries.insert(domain.country);
-      // d_1P: the whole NS set belongs to this single provider.
-      if (matched.size() == 1 && !any_unmatched) ++acc[m].d1p;
+      Acc& a = acc[m];
+      ++a.domains;
+      if (d1p) ++a.d1p;
+      uint8_t& group_flag = group_seen[m * n_groups + group];
+      a.groups += group_flag == 0;
+      group_flag = 1;
+      uint8_t& country_flag = country_seen[m * n_countries + country];
+      a.countries += country_flag == 0;
+      country_flag = 1;
     }
   }
 
@@ -162,8 +215,8 @@ ProviderYearTable ProviderAnalyzer::Analyze(const MinedDataset& dataset,
     row.year = year;
     row.domains = acc[i].domains;
     row.d1p = acc[i].d1p;
-    row.groups = static_cast<int64_t>(acc[i].groups.size());
-    row.countries = static_cast<int64_t>(acc[i].countries.size());
+    row.groups = acc[i].groups;
+    row.countries = acc[i].countries;
     row.major = rules[i].major;
     table.rows.push_back(std::move(row));
   }

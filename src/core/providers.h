@@ -45,7 +45,15 @@ class ProviderMatcher {
   const std::vector<ProviderRule>& rules() const { return rules_; }
 
  private:
+  // A rule's NS patterns, lowercased once so MatchNs folds only the
+  // hostname.
+  struct FoldedNsPatterns {
+    std::vector<std::string> suffixes;
+    std::vector<std::string> substrings;
+  };
+
   std::vector<ProviderRule> rules_;
+  std::vector<FoldedNsPatterns> folded_;  // parallel to rules_
 };
 
 // ---- Yearly provider usage (Tables II/III) --------------------------------
@@ -68,6 +76,10 @@ struct ProviderYearTable {
   std::vector<ProviderYearRow> rows;
 };
 
+// Counts per rule are accumulated over dense ids (DESIGN.md §6m): the
+// constructor maps each country to a dense group id once, and the years of
+// one AnalyzeYears call share one NS id -> rule memo, so no per-domain work
+// builds a string or touches a node-based container.
 class ProviderAnalyzer {
  public:
   ProviderAnalyzer(const ProviderMatcher* matcher,
@@ -75,6 +87,10 @@ class ProviderAnalyzer {
 
   // Usage per provider for one year of the mined dataset.
   ProviderYearTable Analyze(const MinedDataset& dataset, int year) const;
+  // One table per requested year, in order. MatchNs runs at most once per
+  // interned NS id across all of them, and only for ids those years use.
+  std::vector<ProviderYearTable> AnalyzeYears(
+      const MinedDataset& dataset, const std::vector<int>& years) const;
 
   // Top-N rows of a year, ranked by countries covered (Table III).
   static std::vector<ProviderYearRow> TopByCountries(
@@ -86,7 +102,16 @@ class ProviderAnalyzer {
 
  private:
   const ProviderMatcher* matcher_;
+  // `ns_rule` memoizes MatchNs per NS id; kNotMatched marks an id not
+  // matched yet.
+  static constexpr int kNotMatched = -2;
+  ProviderYearTable AnalyzeYear(const MinedDataset& dataset, int year,
+                                std::vector<int>& ns_rule) const;
+
   std::vector<CountryMeta> countries_;
+  // Dense grouping unit (ProviderGroupKey) of each country, and their count.
+  std::vector<int> country_group_;
+  int64_t group_count_ = 0;
 };
 
 }  // namespace govdns::core

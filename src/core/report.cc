@@ -140,10 +140,11 @@ StudyReport BuildReport(Study& study,
   static const ProviderMatcher kMatcher(DefaultProviderRules());
   ProviderAnalyzer analyzer(&kMatcher, study.inputs().countries);
   analyze("analyze.providers", mined_n, [&] {
-    report.providers_first_year =
-        analyzer.Analyze(study.mined(), study.mined().config.first_year);
-    report.providers_last_year =
-        analyzer.Analyze(study.mined(), study.mined().config.last_year);
+    const MiningConfig& config = study.mined().config;
+    std::vector<ProviderYearTable> tables = analyzer.AnalyzeYears(
+        study.mined(), {config.first_year, config.last_year});
+    report.providers_first_year = std::move(tables[0]);
+    report.providers_last_year = std::move(tables[1]);
   });
 
   analyze("analyze.delegations", active_n, [&] {
@@ -212,10 +213,17 @@ void PrintReport(const StudyReport& report, std::ostream& os) {
      << ProviderAnalyzer::MaxCountriesAnyProvider(report.providers_last_year)
      << " (" << report.providers_last_year.year << ")\n";
 
-  double n = static_cast<double>(report.delegations.domains_considered);
+  // An empty study (no parent had records) reads 0.0%, like the analyzers'
+  // own shares, instead of a platform-dependent "nan%".
+  const DelegationSummary& del = report.delegations;
+  auto share = [&](int64_t count) {
+    return del.domains_considered > 0
+               ? double(count) / double(del.domains_considered)
+               : 0.0;
+  };
   os << "\n-- defective delegations --\n";
-  os << "partial: " << Percent(report.delegations.partially_defective / n)
-     << ", full: " << Percent(report.delegations.fully_defective / n) << "\n";
+  os << "partial: " << Percent(share(del.partially_defective))
+     << ", full: " << Percent(share(del.fully_defective)) << "\n";
   os << "registrable d_ns: " << report.hijack.available_ns_domains
      << " affecting " << report.hijack.affected_domains << " domains in "
      << report.hijack.affected_countries << " countries\n";

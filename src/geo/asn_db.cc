@@ -8,15 +8,15 @@ void AsnDatabase::Add(const Cidr& block, uint32_t asn,
       AsnInfo{asn, std::move(organization)};
 }
 
-std::optional<AsnInfo> AsnDatabase::Lookup(IPv4 ip) const {
+const AsnInfo* AsnDatabase::Lookup(IPv4 ip) const {
   for (int len = 32; len >= 0; --len) {
     const auto& table = by_len_[len];
     if (table.empty()) continue;
     uint32_t mask = len == 0 ? 0 : (~uint32_t{0} << (32 - len));
     auto it = table.find(ip.bits() & mask);
-    if (it != table.end()) return it->second;
+    if (it != table.end()) return &it->second;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 size_t AsnDatabase::prefix_count() const {

@@ -30,8 +30,9 @@ class AsnDatabase {
  public:
   void Add(const Cidr& block, uint32_t asn, std::string organization);
 
-  // Longest-prefix match; nullopt if no registered block covers `ip`.
-  std::optional<AsnInfo> Lookup(IPv4 ip) const;
+  // Longest-prefix match; null if no registered block covers `ip`. Points
+  // into the database (no copy) and stays valid until the next Add.
+  const AsnInfo* Lookup(IPv4 ip) const;
 
   size_t prefix_count() const;
 

@@ -1,6 +1,5 @@
 #include "util/strings.h"
 
-#include <cctype>
 #include <cstdio>
 
 namespace govdns::util {
@@ -28,19 +27,14 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
 
 std::string ToLower(std::string_view text) {
   std::string out(text);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
+  for (char& c : out) c = AsciiLower(c);
   return out;
 }
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
+    if (AsciiLower(a[i]) != AsciiLower(b[i])) return false;
   }
   return true;
 }

@@ -12,6 +12,12 @@ std::vector<std::string> Split(std::string_view text, char sep);
 
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
+// ASCII case folding: what std::tolower does in the "C" locale, which this
+// program never leaves, without a libc call per character.
+inline char AsciiLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 // ASCII-only lowering, sufficient for DNS hostnames.
 std::string ToLower(std::string_view text);
 

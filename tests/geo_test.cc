@@ -69,7 +69,7 @@ TEST(AsnDatabaseTest, LongestPrefixWins) {
 TEST(AsnDatabaseTest, MissReturnsNullopt) {
   AsnDatabase db;
   db.Add(Cidr(IPv4(10, 0, 0, 0), 8), 100, "x");
-  EXPECT_FALSE(db.Lookup(IPv4(11, 0, 0, 1)).has_value());
+  EXPECT_EQ(db.Lookup(IPv4(11, 0, 0, 1)), nullptr);
 }
 
 TEST(AsnDatabaseTest, PrefixCount) {
@@ -92,7 +92,7 @@ TEST(AddressAllocatorTest, BlocksAreDisjointAndRegistered) {
   EXPECT_FALSE(a.Contains(b.network()));
 
   auto info = db.Lookup(AddressAllocator::HostInBlock(a, 3));
-  ASSERT_TRUE(info.has_value());
+  ASSERT_NE(info, nullptr);
   EXPECT_EQ(info->asn, asn_a);
   EXPECT_EQ(info->organization, "org-a");
 }

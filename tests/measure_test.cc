@@ -175,7 +175,8 @@ TEST_F(MeasureTest, MeasureAllPreservesOrder) {
 
 TEST_F(MeasureTest, NsAddressesDeduplicates) {
   auto r = Measure("moe.gov.xx");
-  auto addrs = r.NsAddresses();
+  std::vector<geo::IPv4> addrs = {TinyInternet::Ip(10, 9, 9, 9)};
+  r.NsAddresses(addrs);  // replaces what the buffer held
   EXPECT_EQ(addrs.size(), 2u);
   auto all_ns = r.AllNs();
   EXPECT_EQ(all_ns.size(), 2u);
@@ -197,7 +198,9 @@ TEST_F(MeasureTest, RejectsOutOfBailiwickGlue) {
   EXPECT_EQ(ns2->status, NsHostStatus::kAuthoritative);
 
   // Nothing anywhere in the result carries the poisoned address.
-  for (geo::IPv4 addr : r.NsAddresses()) {
+  std::vector<geo::IPv4> addrs;
+  r.NsAddresses(addrs);
+  for (geo::IPv4 addr : addrs) {
     EXPECT_NE(addr, TinyInternet::Ip(10, 0, 9, 9));
   }
 }
