@@ -32,15 +32,14 @@ struct SweepPoint {
 SweepPoint MeasurePoint(bool armored, double loss) {
   auto& env = BenchEnv::Get();
   env.world().network().set_extra_loss_rate(loss);
-  // A fresh resolver per arm so cache/health state never leaks across arms.
+  // A fresh measurer per arm so cache/health state never leaks across arms.
   govdns::core::ResolverOptions ropts;
   if (!armored) ropts.retry = govdns::core::RetryPolicy::Disabled();
-  govdns::core::IterativeResolver resolver(&env.world().network(),
-                                           env.world().root_server_ips(),
-                                           ropts);
   govdns::core::MeasurerOptions mopts;
   mopts.collect_soa = false;
-  govdns::core::ActiveMeasurer measurer(&resolver, mopts);
+  govdns::core::ActiveMeasurer measurer(&env.world().network(),
+                                        env.world().root_server_ips(), ropts,
+                                        mopts);
   auto query_list = govdns::core::PdnsMiner::ActiveQueryList(env.mined());
   // Deterministic subsample: 12 full measurement passes ride this sweep.
   constexpr size_t kSample = 20000;

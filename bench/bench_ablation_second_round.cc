@@ -4,7 +4,8 @@
 // child servers never answered, to rule out transient loss. Without the
 // retry, packet loss misclassifies healthy domains as fully defective.
 // This ablation runs the measurement with and without round 2 (and under
-// elevated loss) and compares the defective-delegation rates.
+// elevated loss) and compares the defective-delegation rates, for the
+// naive single-shot client and for the client with per-query retries.
 #include <iostream>
 
 #include "bench/common.h"
@@ -18,16 +19,18 @@ namespace {
 using govdns::bench::BenchEnv;
 
 govdns::core::DelegationSummary MeasureWith(bool second_round,
-                                             double extra_loss) {
+                                             double extra_loss, bool armored) {
   auto& env = BenchEnv::Get();
   env.world().network().set_extra_loss_rate(extra_loss);
-  // A fresh resolver so cache state is identical between arms.
-  govdns::core::IterativeResolver resolver(&env.world().network(),
-                                           env.world().root_server_ips());
+  // A fresh measurer so cache state is identical between arms.
+  govdns::core::ResolverOptions resolver_options;
+  if (!armored) resolver_options.retry = govdns::core::RetryPolicy::Disabled();
   govdns::core::MeasurerOptions options;
   options.second_round = second_round;
   options.collect_soa = false;
-  govdns::core::ActiveMeasurer measurer(&resolver, options);
+  govdns::core::ActiveMeasurer measurer(&env.world().network(),
+                                        env.world().root_server_ips(),
+                                        resolver_options, options);
   auto query_list = govdns::core::PdnsMiner::ActiveQueryList(env.mined());
   // The ablation contrasts two measurement policies; a deterministic
   // subsample keeps the repeated measurement passes affordable at scale.
@@ -43,7 +46,8 @@ govdns::core::DelegationSummary MeasureWith(bool second_round,
 void BM_SecondRound(benchmark::State& state) {
   BenchEnv::Get().mined();
   for (auto _ : state) {
-    auto summary = MeasureWith(state.range(0) != 0, /*extra_loss=*/0.0);
+    auto summary = MeasureWith(state.range(0) != 0, /*extra_loss=*/0.0,
+                               /*armored=*/true);
     benchmark::DoNotOptimize(summary);
   }
 }
@@ -52,15 +56,18 @@ BENCHMARK(BM_SecondRound)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)
 
 void PrintArtifact() {
   govdns::util::TextTable table(
-      {"Loss", "Configuration", "Partial %", "Full %"});
+      {"Loss", "Client", "Configuration", "Partial %", "Full %"});
   for (double loss : {0.0, 0.15}) {
-    for (bool second_round : {false, true}) {
-      auto summary = MeasureWith(second_round, loss);
-      double n = double(summary.domains_considered);
-      table.AddRow({govdns::util::Percent(loss, 0),
-                    second_round ? "with round 2 (paper)" : "single round",
-                    govdns::util::Percent(summary.partially_defective / n),
-                    govdns::util::Percent(summary.fully_defective / n)});
+    for (bool armored : {false, true}) {
+      for (bool second_round : {false, true}) {
+        auto summary = MeasureWith(second_round, loss, armored);
+        double n = double(summary.domains_considered);
+        table.AddRow({govdns::util::Percent(loss, 0),
+                      armored ? "retry policy" : "single-shot",
+                      second_round ? "with round 2 (paper)" : "single round",
+                      govdns::util::Percent(summary.partially_defective / n),
+                      govdns::util::Percent(summary.fully_defective / n)});
+      }
     }
   }
   std::printf("\nAblation — effect of the §III-B second query round\n");

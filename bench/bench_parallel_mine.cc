@@ -3,10 +3,12 @@
 // Freezes the PDNS database once (freeze cost reported separately — it is a
 // one-time substrate build, not per-mine work), then sweeps
 // PdnsMiner::MineSnapshot at 1/2/4/8 workers with the sub-phase profiler
-// attached. Each point records wall seconds, per-phase walls, the measured
-// speedup, and an Amdahl projection computed from the 1-worker run's phase
-// decomposition: the only serial remainder of the pipeline is the intern
-// k-way merge plus the renumber pass, so
+// attached. Every point, the 1-worker serial reference included, is timed
+// kRounds times in interleaved rounds and reported as its median run: wall
+// seconds, per-phase walls, the measured speedup over the 1-worker median,
+// and an Amdahl projection computed from the 1-worker phase decomposition:
+// the only serial remainder of the pipeline is the intern k-way merge plus
+// the renumber pass, so
 //
 //     projected(N) = total / (serial + (total - serial) / N)
 //
@@ -23,11 +25,14 @@
 // past it. Artifacts: the sweep tables on stdout, one machine-readable
 // `[bench] mining` JSON line for the stats scraper, and BENCH_mining.json
 // (path overridable via GOVDNS_MINING_JSON).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <iterator>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <thread>
@@ -46,6 +51,9 @@ namespace fs = std::filesystem;
 using govdns::bench::BenchEnv;
 
 constexpr uint64_t kSnapshotFingerprint = 0xBE4C11731E5CA1Eull;
+constexpr int kWorkerPoints[] = {1, 2, 4, 8};  // [0] is the serial reference
+constexpr int kPoints = std::size(kWorkerPoints);
+constexpr int kRounds = 5;  // timed runs per point; the median is reported
 
 struct PhaseWalls {
   double intern = 0.0;
@@ -59,7 +67,8 @@ struct PhaseWalls {
 
 struct SweepPoint {
   int workers = 0;
-  double seconds = 0.0;
+  std::vector<double> samples;  // one per round, in round order
+  double seconds = 0.0;         // median of `samples`
   double domains_per_sec = 0.0;
   double speedup = 0.0;
   double projected = 0.0;
@@ -81,8 +90,8 @@ struct SweepResult {
   size_t ns_names = 0;
   int64_t entries_scanned = 0;
   double freeze_seconds = 0.0;
-  double serial_seconds = 0.0;
-  double serial_phase_seconds = 0.0;  // intern merge + renumber, from 1w run
+  double serial_seconds = 0.0;        // the 1-worker median
+  double serial_phase_seconds = 0.0;  // intern merge + renumber, same run
   std::vector<SweepPoint> sweep;
   std::vector<SubstratePoint> substrates;
 };
@@ -144,36 +153,64 @@ SweepResult RunSweep(govdns::core::Study& study, double scale) {
                            .count();
   }
 
-  // The 1-worker run is the identity baseline AND the Amdahl decomposition
-  // source: its intern-merge + renumber walls are the pipeline's only
-  // serial remainder.
-  PhaseWalls serial_phases;
-  const auto serial =
-      MinePoint(frozen, seeds, config, 1, &r.serial_seconds, &serial_phases);
-  r.domains = serial.domains.size();
-  r.ns_names = serial.ns_names.size();
-  r.entries_scanned = serial.stats.entries_scanned;
-  r.serial_phase_seconds = serial_phases.intern_merge + serial_phases.renumber;
+  // Each round times every point once, starting one point later than the
+  // round before, so no point always runs first (cold) or right after the
+  // same neighbour. The first 1-worker dataset is the identity baseline;
+  // the 1-worker median run is the Amdahl decomposition source: its
+  // intern-merge + renumber walls are the pipeline's only serial remainder.
+  std::optional<govdns::core::MinedDataset> serial;
+  std::vector<std::vector<PhaseWalls>> phases(kPoints);
+  r.sweep.resize(kPoints);
+  for (int p = 0; p < kPoints; ++p) {
+    r.sweep[p].workers = kWorkerPoints[p];
+    r.sweep[p].identical = true;
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    for (int k = 0; k < kPoints; ++k) {
+      const int p = (round + k) % kPoints;
+      SweepPoint& point = r.sweep[p];
+      double seconds = 0.0;
+      PhaseWalls walls;
+      auto dataset =
+          MinePoint(frozen, seeds, config, point.workers, &seconds, &walls);
+      point.samples.push_back(seconds);
+      phases[p].push_back(walls);
+      if (!serial.has_value()) {
+        serial = std::move(dataset);  // round 0 starts at the 1-worker point
+      } else {
+        point.identical = point.identical && dataset == *serial;
+      }
+    }
+  }
+  for (int p = 0; p < kPoints; ++p) {
+    SweepPoint& point = r.sweep[p];
+    std::vector<size_t> order(kRounds);
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return point.samples[a] < point.samples[b];
+    });
+    const size_t median = order[kRounds / 2];
+    point.seconds = point.samples[median];
+    point.phases = phases[p][median];
+  }
+  r.domains = serial->domains.size();
+  r.ns_names = serial->ns_names.size();
+  r.entries_scanned = serial->stats.entries_scanned;
+  r.serial_seconds = r.sweep[0].seconds;
+  r.serial_phase_seconds =
+      r.sweep[0].phases.intern_merge + r.sweep[0].phases.renumber;
   const double parallel_part = r.serial_seconds - r.serial_phase_seconds;
-
-  for (int workers : {1, 2, 4, 8}) {
-    SweepPoint point;
-    point.workers = workers;
-    const auto dataset =
-        MinePoint(frozen, seeds, config, workers, &point.seconds, &point.phases);
-    point.identical = dataset == serial;
+  for (SweepPoint& point : r.sweep) {
     point.domains_per_sec =
-        point.seconds > 0.0 ? double(dataset.domains.size()) / point.seconds
-                            : 0.0;
+        point.seconds > 0.0 ? double(r.domains) / point.seconds : 0.0;
     point.speedup = (r.serial_seconds > 0.0 && point.seconds > 0.0)
                         ? r.serial_seconds / point.seconds
                         : 0.0;
     const double projected_denom =
-        r.serial_phase_seconds + parallel_part / workers;
+        r.serial_phase_seconds + parallel_part / point.workers;
     point.projected = (r.serial_seconds > 0.0 && projected_denom > 0.0)
                           ? r.serial_seconds / projected_denom
                           : 0.0;
-    r.sweep.push_back(point);
   }
 
   // Substrate identity: the frozen image and its mmapped file must yield
@@ -193,13 +230,13 @@ SweepResult RunSweep(govdns::core::Study& study, double scale) {
       SubstratePoint p{"frozen", workers};
       p.identical =
           MinePoint(frozen, seeds, config, workers, &p.seconds, nullptr) ==
-          serial;
+          *serial;
       r.substrates.push_back(p);
       if (mapped.ok()) {
         SubstratePoint q{"mapped", workers};
         q.identical =
             MinePoint(*mapped, seeds, config, workers, &q.seconds, nullptr) ==
-            serial;
+            *serial;
         r.substrates.push_back(q);
       }
     }
@@ -224,8 +261,11 @@ void WriteSweepJson(govdns::util::JsonWriter& w, const SweepResult& r) {
   for (const SweepPoint& p : r.sweep) {
     w.BeginObject()
         .Kv("workers", int64_t(p.workers))
-        .Kv("seconds", p.seconds)
-        .Kv("domains_per_sec", p.domains_per_sec)
+        .Kv("seconds", p.seconds);
+    w.Key("samples").BeginArray();
+    for (double sample : p.samples) w.Double(sample);
+    w.EndArray();
+    w.Kv("domains_per_sec", p.domains_per_sec)
         .Kv("speedup_vs_serial", p.speedup)
         .Kv("projected_speedup", p.projected)
         .Kv("identical_to_serial", p.identical);
@@ -266,9 +306,10 @@ void PrintSweepTable(const SweepResult& r) {
                   p.identical ? "yes" : "NO"});
   }
   std::printf("\nScaling at scale %.3f — %zu seeds, %zu domains, "
-              "freeze %.3fs (once), serial remainder %.4fs\n",
+              "freeze %.3fs (once), serial remainder %.4fs; median of %d "
+              "interleaved runs per point\n",
               r.scale, r.seeds, r.domains, r.freeze_seconds,
-              r.serial_phase_seconds);
+              r.serial_phase_seconds, kRounds);
   table.Print(std::cout);
   for (const SubstratePoint& p : r.substrates) {
     std::printf("  substrate %-6s w=%d: %.3fs identical=%s\n", p.substrate,

@@ -53,7 +53,7 @@ const core::ActiveDataset& BenchEnv::active() {
     active_done_ = true;
     std::fprintf(stderr, "[bench] measurement done (%llu queries)\n",
                  static_cast<unsigned long long>(
-                     bound_.study->measurement_queries_sent()));
+                     bound_.study->measurement_counters().queries));
     PrintStatsJson();
   }
   return bound_.study->active();

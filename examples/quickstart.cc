@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
               util::WithCommas(funnel.parent_responded).c_str(),
               util::WithCommas(funnel.parent_has_records).c_str(),
               static_cast<unsigned long long>(
-                  study.measurement_queries_sent()));
+                  study.measurement_counters().queries));
 
   // 3. Headline analyses.
   auto replication = core::AnalyzeReplication(study.active());

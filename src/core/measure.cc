@@ -58,12 +58,6 @@ size_t MeasurementResult::AllNsCount() const {
   return count;
 }
 
-ActiveMeasurer::ActiveMeasurer(IterativeResolver* resolver,
-                               MeasurerOptions options)
-    : resolver_(resolver), options_(options) {
-  GOVDNS_CHECK(resolver != nullptr);
-}
-
 ActiveMeasurer::ActiveMeasurer(dns::QueryTransport* transport,
                                std::vector<geo::IPv4> root_hints,
                                ResolverOptions resolver_options,
@@ -185,7 +179,7 @@ bool ActiveMeasurer::WantTrace(const dns::Name& domain) const {
 }
 
 void ActiveMeasurer::PublishCacheGauges() {
-  if (options_.obs == nullptr || shared_cache_ == nullptr) return;
+  if (options_.obs == nullptr) return;
   obs::MetricsRegistry& m = options_.obs->metrics();
   const CutCacheStats cs = shared_cache_->stats();
   // All diagnostic: hit/miss splits and infra effort depend on which worker
@@ -211,29 +205,13 @@ void ActiveMeasurer::PublishCacheGauges() {
              Determinism::kDiagnostic);
 }
 
-MeasurementResult ActiveMeasurer::Measure(const dns::Name& domain) {
-  std::optional<obs::DomainTrace> slot;
-  std::optional<obs::DomainTrace>* slot_ptr = WantTrace(domain) ? &slot : nullptr;
-  MeasurementResult result;
-  if (resolver_ != nullptr) {
-    result = MeasureWith(*resolver_, domain, slot_ptr);
-  } else {
-    IterativeResolver resolver(transport_, roots_, resolver_options_);
-    result = MeasureWith(resolver, domain, slot_ptr);
-    merged_counters_ += resolver.counters();
-    merged_queries_sent_ += resolver.queries_sent();
-  }
-  if (slot.has_value()) options_.obs->traces().Fold(std::move(*slot));
-  return result;
-}
-
 MeasurementResult ActiveMeasurer::MeasureWith(
     IterativeResolver& resolver, const dns::Name& domain,
     std::optional<obs::DomainTrace>* trace_slot) {
   MeasurementResult result;
   result.domain = domain;
-  // In engine mode the scope makes everything below a pure function of
-  // (world seed, domain): no-op otherwise.
+  // The scope makes everything below a pure function of (world seed,
+  // domain).
   resolver.BeginDomainScope(domain);
   obs::DomainTrace* trace = nullptr;
   if (trace_slot != nullptr) {
@@ -242,11 +220,12 @@ MeasurementResult ActiveMeasurer::MeasureWith(
     trace = &trace_slot->value();
     resolver.set_trace(trace);
   }
-  // Timed on the transport's logical clock; in engine mode the domain-scope
-  // clock, so the timing is deterministic like everything else in scope.
+  // Timed on the domain-scope clock, so the timing is deterministic like
+  // everything else in scope.
   const uint64_t t0 = resolver.now_ms();
-  // Charge everything this domain costs — including resolution detours —
+  // Charge the domain's surface queries — including resolution detours —
   // against one hard budget, and attribute the per-outcome counters to it.
+  // Shared-cut computation runs unbudgeted and is charged to the cache.
   const ResolverCounters before = resolver.counters();
   resolver.ClearCancelLatch();
   resolver.ArmQueryBudget(options_.max_queries_per_domain);
@@ -505,29 +484,11 @@ void ActiveMeasurer::QueryChildServers(IterativeResolver& resolver,
 std::vector<MeasurementResult> ActiveMeasurer::MeasureAll(
     const std::vector<dns::Name>& domains) {
   obs::Observability* obs = options_.obs;
-  if (resolver_ != nullptr) {
-    std::vector<MeasurementResult> out;
-    out.reserve(domains.size());
-    for (const dns::Name& domain : domains) {
-      out.push_back(Measure(domain));  // folds traces in input order
-    }
-    merged_counters_ = resolver_->counters();
-    merged_queries_sent_ = resolver_->queries_sent();
-    if (obs != nullptr) {
-      const MetricIds ids = MetricIds::Declare(obs->metrics());
-      std::unique_ptr<obs::MetricsShard> shard = obs->metrics().NewShard();
-      for (const MeasurementResult& r : out) ids.Observe(*shard, r);
-      obs->metrics().Absorb(*shard);
-    }
-    return out;
-  }
-
-  // Pool mode: shard over workers with an atomic dispenser. Every domain is
-  // measured hermetically, so which worker picks it up cannot change its
-  // result — writing into out[i] by input index makes the whole vector
-  // byte-identical to a serial run.
-  int workers = options_.async_lanes > 0 ? options_.async_lanes
-                : options_.workers > 0
+  // Shard over workers with an atomic dispenser. Every domain is measured
+  // hermetically, so which worker picks it up cannot change its result —
+  // writing into out[i] by input index makes the whole vector byte-identical
+  // to a serial run.
+  int workers = options_.workers > 0
                     ? options_.workers
                     : static_cast<int>(std::thread::hardware_concurrency());
   if (workers < 1) workers = 1;
@@ -547,8 +508,6 @@ std::vector<MeasurementResult> ActiveMeasurer::MeasureAll(
 
   std::vector<MeasurementResult> out(domains.size());
   std::atomic<size_t> next{0};
-  std::vector<ResolverCounters> worker_counters(workers);
-  std::vector<uint64_t> worker_queries(workers, 0);
 
   // Wall-clock liveness net (§6g). In pure simulation exchanges always
   // return promptly, so the watchdog never fires and attaching one cannot
@@ -587,8 +546,6 @@ std::vector<MeasurementResult> ActiveMeasurer::MeasureAll(
       }
       if (shard != nullptr) ids->Observe(*shard, out[i]);
     }
-    worker_counters[w] = resolver.counters();
-    worker_queries[w] = resolver.queries_sent();
     worker_shards[w] = std::move(shard);
   };
   if (workers == 1) {
@@ -598,13 +555,6 @@ std::vector<MeasurementResult> ActiveMeasurer::MeasureAll(
     pool.reserve(workers);
     for (int w = 0; w < workers; ++w) pool.emplace_back(run, w);
     for (std::thread& t : pool) t.join();
-  }
-
-  merged_counters_ = ResolverCounters{};
-  merged_queries_sent_ = 0;
-  for (int w = 0; w < workers; ++w) {
-    merged_counters_ += worker_counters[w];
-    merged_queries_sent_ += worker_queries[w];
   }
 
   if (watchdog != nullptr) {
@@ -630,8 +580,6 @@ std::vector<MeasurementResult> ActiveMeasurer::MeasureAll(
         out[i] = MeasureWith(requeue_resolver, domains[i], slot);
         if (requeue_shard != nullptr) ids->Observe(*requeue_shard, out[i]);
       }
-      merged_counters_ += requeue_resolver.counters();
-      merged_queries_sent_ += requeue_resolver.queries_sent();
       if (requeue_shard != nullptr) obs->metrics().Absorb(*requeue_shard);
     }
     watchdog->Stop();

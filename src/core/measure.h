@@ -14,16 +14,12 @@
 // A second round re-queries domains whose parent returned NS records but
 // whose child servers never answered, to rule out transient loss (§III-B).
 //
-// Two construction modes:
-//   * Legacy serial mode (resolver pointer): every Measure call runs through
-//     one caller-owned resolver, exactly as the original client did.
-//   * Pool mode (transport + root hints): MeasureAll shards the domain list
-//     over worker threads; each worker owns a private IterativeResolver but
-//     all share one thread-safe zone-cut + negative cache, and every domain
-//     is measured inside a hermetic per-domain chaos scope. Results land in
-//     input order and per-domain query_stats are byte-identical for any
-//     worker count, so the downstream analyses and the resilience report do
-//     not depend on parallelism.
+// MeasureAll shards the domain list over a pool of worker threads; each
+// worker owns a private IterativeResolver but all share one thread-safe
+// zone-cut + negative cache, and every domain is measured inside a hermetic
+// per-domain chaos scope. Results land in input order and per-domain
+// query_stats are byte-identical for any worker count, so the downstream
+// analyses and the resilience report do not depend on parallelism.
 #pragma once
 
 #include <map>
@@ -155,17 +151,14 @@ struct MeasurerOptions {
   // (exchanges always return), so it cannot perturb deterministic runs.
   uint32_t watchdog_stall_ms = 0;
   uint32_t watchdog_poll_ms = 20;
-  // Worker threads used by MeasureAll in pool mode; 0 picks
-  // std::thread::hardware_concurrency(). Ignored in legacy serial mode.
-  int workers = 0;
-  // Async submit lanes (ZDNS-style, DESIGN.md §6h): when > 0, overrides
-  // `workers` as the pool size. Intended for transports that multiplex
-  // I/O — e.g. netio::QueryEngine — where a lane parked in Exchange costs
-  // a parked thread, not a socket round-trip, so lane count can far
-  // exceed core count to keep the engine's in-flight window full. Every
-  // domain is measured hermetically, so any lane count yields the same
+  // Worker threads used by MeasureAll; 0 picks
+  // std::thread::hardware_concurrency(). Over a transport that multiplexes
+  // I/O (netio::QueryEngine, DESIGN.md §6h) a worker parked in Exchange
+  // costs a parked thread, not a socket round-trip, so the count may far
+  // exceed the core count to keep the engine's in-flight window full.
+  // Every domain is measured hermetically, so any count yields the same
   // byte stream.
-  int async_lanes = 0;
+  int workers = 0;
   // Observability sink (not owned; may be null). When set, the measurer
   // folds per-worker metric shards into obs->metrics(), samples per-domain
   // traces into obs->traces() (folded in input order, so the retained set
@@ -178,34 +171,21 @@ class ActiveMeasurer {
  public:
   using Options = MeasurerOptions;
 
-  // Legacy serial mode: all measurement traffic goes through `resolver`,
-  // which the caller owns and may share with other components.
-  ActiveMeasurer(IterativeResolver* resolver,
-                 MeasurerOptions options = MeasurerOptions());
-
-  // Pool mode: MeasureAll runs a worker pool over `transport`; workers share
-  // one zone-cut cache owned by the measurer.
+  // MeasureAll runs a worker pool over `transport`; workers share one
+  // zone-cut cache owned by the measurer.
   ActiveMeasurer(dns::QueryTransport* transport,
                  std::vector<geo::IPv4> root_hints,
                  ResolverOptions resolver_options = ResolverOptions(),
                  MeasurerOptions options = MeasurerOptions());
   ~ActiveMeasurer();
 
-  MeasurementResult Measure(const dns::Name& domain);
-
-  // Runs Measure over a list (the paper's 147k-domain query list). Results
-  // are returned in input order regardless of how work was sharded.
+  // Measures a list (the paper's 147k-domain query list). Results are
+  // returned in input order regardless of how work was sharded.
   std::vector<MeasurementResult> MeasureAll(
       const std::vector<dns::Name>& domains);
 
-  // Aggregate query effort of the last MeasureAll: in pool mode the exact
-  // sum of the per-worker resolver counters (surface queries only — shared
-  // cache computation is accounted on the cache itself); in legacy mode the
-  // caller resolver's cumulative counters.
-  const ResolverCounters& merged_counters() const { return merged_counters_; }
-  uint64_t merged_queries_sent() const { return merged_queries_sent_; }
-  // Pool mode only (nullptr otherwise). The mutable overload exists for
-  // checkpoint warm-start (SharedCutCache::Restore before MeasureAll).
+  // The mutable overload exists for checkpoint warm-start
+  // (SharedCutCache::Restore before MeasureAll).
   const SharedCutCache* shared_cache() const { return shared_cache_.get(); }
   SharedCutCache* shared_cache() { return shared_cache_.get(); }
 
@@ -227,14 +207,11 @@ class ActiveMeasurer {
   // Post-run bookkeeping: cut-cache gauges on the attached registry.
   void PublishCacheGauges();
 
-  IterativeResolver* resolver_ = nullptr;     // legacy serial mode
-  dns::QueryTransport* transport_ = nullptr;  // pool mode
+  dns::QueryTransport* transport_ = nullptr;
   std::vector<geo::IPv4> roots_;
   ResolverOptions resolver_options_;
   std::unique_ptr<SharedCutCache> shared_cache_;
   Options options_;
-  ResolverCounters merged_counters_;
-  uint64_t merged_queries_sent_ = 0;
 };
 
 }  // namespace govdns::core

@@ -8,9 +8,7 @@
 
 namespace govdns::core {
 
-Study::Study(StudyInputs inputs)
-    : inputs_(std::move(inputs)),
-      resolver_(inputs_.transport, inputs_.root_hints) {
+Study::Study(StudyInputs inputs) : inputs_(std::move(inputs)) {
   GOVDNS_CHECK(inputs_.transport != nullptr);
   GOVDNS_CHECK(inputs_.pdns != nullptr || inputs_.pdns_snapshot != nullptr);
   GOVDNS_CHECK(inputs_.psl != nullptr);
@@ -59,7 +57,8 @@ const std::vector<SeedDomain>& Study::RunSelection() {
   {
     obs::PhaseProfiler::Scope phase(&profiler_, "selection");
     const uint64_t t0 = inputs_.transport->now_ms();
-    SeedSelector selector(&resolver_, inputs_.psl, inputs_.policy);
+    IterativeResolver resolver(inputs_.transport, inputs_.root_hints);
+    SeedSelector selector(&resolver, inputs_.psl, inputs_.policy);
     seeds_ = selector.Select(inputs_.knowledge_base, &selection_stats_);
     phase.set_logical_ms(inputs_.transport->now_ms() - t0);
     phase.set_items(static_cast<int64_t>(seeds_.size()));
@@ -165,7 +164,6 @@ const ActiveDataset& Study::RunActiveMeasurement(MeasurerOptions options) {
                             phase_logical >= options.phase_deadline_logical_ms;
     std::vector<dns::Name> live;
     std::vector<size_t> live_at;  // batch-local offsets of `live` entries
-    std::vector<MeasurementResult> part(count);
     for (size_t k = 0; k < count; ++k) {
       const size_t i = begin + k;
       bool over = phase_over;
@@ -174,73 +172,80 @@ const ActiveDataset& Study::RunActiveMeasurement(MeasurerOptions options) {
         over = it != country_logical.end() &&
                it->second >= options.max_logical_ms_per_country;
       }
-      if (over) {
-        // Placeholder: the domain was never queried. Every other field stays
-        // empty/zero so the quarantine is visible (and journal-roundtrips)
-        // without inventing measurement data.
-        part[k].domain = query_list[i];
-        part[k].degraded = true;
-        part[k].quarantine_reason = QuarantineReason::kBudgetExceeded;
-      } else {
+      if (!over) {
         live.push_back(query_list[i]);
         live_at.push_back(k);
       }
     }
-    if (!live.empty()) {
-      std::vector<MeasurementResult> measured = measurer.MeasureAll(live);
-      for (size_t j = 0; j < live.size(); ++j) {
-        part[live_at[j]] = std::move(measured[j]);
-      }
+    std::vector<MeasurementResult> measured;
+    if (!live.empty()) measured = measurer.MeasureAll(live);
+    if (measured.size() == count) {
+      account(begin, measured);
+      return measured;
+    }
+    // Placeholders for the excluded domains, which were never queried. Every
+    // other field stays empty/zero so the quarantine is visible (and
+    // journal-roundtrips) without inventing measurement data.
+    std::vector<MeasurementResult> part(count);
+    for (size_t k = 0; k < count; ++k) {
+      part[k].domain = query_list[begin + k];
+      part[k].degraded = true;
+      part[k].quarantine_reason = QuarantineReason::kBudgetExceeded;
+    }
+    for (size_t j = 0; j < live.size(); ++j) {
+      part[live_at[j]] = std::move(measured[j]);
     }
     account(begin, part);
     return part;
   };
 
+  // Batches exist for the checkpoint journal and the budget cutoffs; with
+  // neither, the whole list is one batch and one pool pass.
+  size_t batch_size = options.budget_batch_size;
+  if (ckpt_ != nullptr) {
+    if (batch_size == 0) batch_size = ckpt_->options().batch_size;
+  } else if (!budgets_armed) {
+    batch_size = query_list.size();
+  } else if (batch_size == 0) {
+    batch_size = 64;
+  }
   std::vector<MeasurementResult> results;
-  if (ckpt_ == nullptr && !budgets_armed) {
-    // Fast path: one pool pass over the whole list.
-    results = measurer.MeasureAll(query_list);
-    measurement_counters_ = measurer.merged_counters();
-    measurement_queries_sent_ = measurer.merged_queries_sent();
-  } else {
-    size_t batch_size = options.budget_batch_size;
-    if (batch_size == 0) {
-      batch_size = ckpt_ != nullptr ? ckpt_->options().batch_size : size_t{64};
+  if (ckpt_ != nullptr) {
+    results = ckpt_->LoadActiveBatches(query_list.size());
+    // Replay the restored prefix through the budget accumulators so the
+    // resumed run's cutoff decisions match the uninterrupted run's.
+    account(0, results);
+    if (!results.empty() && results.size() < query_list.size() &&
+        ckpt_->options().snapshot_cut_cache) {
+      // Warm start: skip re-deriving infrastructure the finished batches
+      // already paid for. Purely advisory — per-domain results are hermetic
+      // either way — and positives-only, so no stale negative can replay.
+      ckpt_->RestoreCutCache(measurer.shared_cache());
     }
+  }
+  while (results.size() < query_list.size()) {
+    CheckInterrupt("measurement");
+    const size_t begin = results.size();
+    const size_t count = std::min(batch_size, query_list.size() - begin);
+    std::vector<MeasurementResult> part = measure_batch(begin, count);
     if (ckpt_ != nullptr) {
-      results = ckpt_->LoadActiveBatches(query_list.size());
-      // Replay the restored prefix through the budget accumulators so the
-      // resumed run's cutoff decisions match the uninterrupted run's.
-      account(0, results);
-      if (!results.empty() && results.size() < query_list.size() &&
-          ckpt_->options().snapshot_cut_cache) {
-        // Warm start: skip re-deriving infrastructure the finished batches
-        // already paid for. Purely advisory — per-domain results are hermetic
-        // either way — and positives-only, so no stale negative can replay.
-        ckpt_->RestoreCutCache(measurer.shared_cache());
+      ckpt_->AppendActiveBatch(begin, part);
+      if (ckpt_->options().snapshot_cut_cache) {
+        ckpt_->SaveCutCacheSnapshot(*measurer.shared_cache());
       }
     }
-    while (results.size() < query_list.size()) {
-      CheckInterrupt("measurement");
-      const size_t begin = results.size();
-      const size_t count = std::min(batch_size, query_list.size() - begin);
-      std::vector<MeasurementResult> part = measure_batch(begin, count);
-      if (ckpt_ != nullptr) {
-        ckpt_->AppendActiveBatch(begin, part);
-        if (ckpt_->options().snapshot_cut_cache) {
-          ckpt_->SaveCutCacheSnapshot(*measurer.shared_cache());
-        }
-      }
+    if (results.empty()) {
+      results = std::move(part);  // the unbatched pass: no second copy
+    } else {
       for (MeasurementResult& r : part) results.push_back(std::move(r));
     }
-    // Derived, not merged: per-domain query_stats sum to exactly the pool's
-    // merged counters (uniform accounting), and unlike the live merge the
-    // sum is also available for batches restored from the journal.
-    measurement_counters_ = ResolverCounters{};
-    for (const MeasurementResult& r : results) {
-      measurement_counters_ += r.query_stats;
-    }
-    measurement_queries_sent_ = measurement_counters_.queries;
+  }
+  // The per-domain attributions are the whole surface effort, and unlike a
+  // live merge of worker counters the sum also covers batches restored from
+  // the journal.
+  measurement_counters_ = ResolverCounters{};
+  for (const MeasurementResult& r : results) {
+    measurement_counters_ += r.query_stats;
   }
   if (ckpt_ != nullptr) {
     // Journal the phase's degradation summary (DESIGN.md §6g) so a resumed

@@ -271,15 +271,16 @@ TEST_F(DegradationTest, BreakerReopensExactlyAtCooldownBoundary) {
 // ---- quarantine classification ---------------------------------------------
 
 TEST_F(DegradationTest, AllTimeoutDeadlineDomainClassifiedAsHang) {
-  // Root hangs: every datagram the domain sends times out, the deadline
-  // latches inside the very first server query, and the verdict is kHang.
-  Afflict(TinyInternet::Ip(10, 0, 0, 1),
+  // gov.yy's first server hangs. The shared-cut walk that locates the
+  // parent runs outside the domain's deadline and falls through to the
+  // second server, but the domain's own parent query tries the hung one
+  // first: every datagram the domain sends times out, the deadline latches
+  // inside that very first server query, and the verdict is kHang.
+  Afflict(TinyInternet::Ip(10, 0, 11, 1),
           [](EndpointBehavior& b) { b.hang = true; });
-  IterativeResolver fresh(&world_.net, world_.roots());
-  MeasurerOptions options;
-  options.max_logical_ms_per_domain = 3000;
-  ActiveMeasurer measurer(&fresh, options);
-  MeasurementResult r = measurer.Measure(Name::FromString("moe.gov.xx"));
+  MeasurementResult r =
+      world_.Measure("chain.gov.yy", {.max_logical_ms_per_domain = 3000});
+  EXPECT_TRUE(r.parent_located);
   EXPECT_TRUE(r.degraded);
   EXPECT_EQ(r.quarantine_reason, QuarantineReason::kHang);
   EXPECT_GT(r.query_stats.queries, 0u);
@@ -294,11 +295,8 @@ TEST_F(DegradationTest, DeliveredThenDarkDeadlineDomainClassifiedAsBlackhole) {
           [](EndpointBehavior& b) { b.blackhole = true; });
   Afflict(TinyInternet::Ip(10, 0, 3, 2),
           [](EndpointBehavior& b) { b.blackhole = true; });
-  IterativeResolver fresh(&world_.net, world_.roots());
-  MeasurerOptions options;
-  options.max_logical_ms_per_domain = 4000;
-  ActiveMeasurer measurer(&fresh, options);
-  MeasurementResult r = measurer.Measure(Name::FromString("moe.gov.xx"));
+  MeasurementResult r =
+      world_.Measure("moe.gov.xx", {.max_logical_ms_per_domain = 4000});
   EXPECT_TRUE(r.degraded);
   EXPECT_EQ(r.quarantine_reason, QuarantineReason::kBlackhole);
   EXPECT_TRUE(r.parent_located);
@@ -306,21 +304,15 @@ TEST_F(DegradationTest, DeliveredThenDarkDeadlineDomainClassifiedAsBlackhole) {
 }
 
 TEST_F(DegradationTest, QueryBudgetExhaustionClassifiedAsBudgetExceeded) {
-  IterativeResolver fresh(&world_.net, world_.roots());
-  MeasurerOptions options;
-  options.max_queries_per_domain = 3;
-  ActiveMeasurer measurer(&fresh, options);
-  MeasurementResult r = measurer.Measure(Name::FromString("moe.gov.xx"));
+  MeasurementResult r =
+      world_.Measure("moe.gov.xx", {.max_queries_per_domain = 3});
   EXPECT_TRUE(r.degraded);
   EXPECT_EQ(r.quarantine_reason, QuarantineReason::kBudgetExceeded);
 }
 
 TEST_F(DegradationTest, HealthyMeasurementIsNotQuarantined) {
-  IterativeResolver fresh(&world_.net, world_.roots());
-  MeasurerOptions options;
-  options.max_logical_ms_per_domain = 60000;
-  ActiveMeasurer measurer(&fresh, options);
-  MeasurementResult r = measurer.Measure(Name::FromString("moe.gov.xx"));
+  MeasurementResult r =
+      world_.Measure("moe.gov.xx", {.max_logical_ms_per_domain = 60000});
   EXPECT_FALSE(r.degraded);
   EXPECT_EQ(r.quarantine_reason, QuarantineReason::kNone);
   EXPECT_EQ(QuarantineReasonName(r.quarantine_reason), std::string("none"));
@@ -646,9 +638,7 @@ TEST_F(DegradationTest, TotalRootLossFailsEverything) {
   IterativeResolver fresh(&world_.net, world_.roots());
   EXPECT_FALSE(
       fresh.Resolve(Name::FromString("www.moe.gov.xx"), dns::RRType::kA).ok());
-  ActiveMeasurer measurer(&fresh);
-  auto r = measurer.Measure(Name::FromString("moe.gov.xx"));
-  EXPECT_FALSE(r.parent_located);
+  EXPECT_FALSE(world_.Measure("moe.gov.xx").parent_located);
 }
 
 TEST_F(DegradationTest, HeavyLossStillTerminates) {
@@ -658,12 +648,10 @@ TEST_F(DegradationTest, HeavyLossStillTerminates) {
                   TinyInternet::Ip(10, 0, 3, 2)}) {
     world_.net.SetBehavior(ip, simnet::EndpointBehavior{.loss_rate = 0.9});
   }
-  IterativeResolver fresh(&world_.net, world_.roots());
-  ActiveMeasurer measurer(&fresh);
-  uint64_t before = fresh.queries_sent();
-  auto r = measurer.Measure(Name::FromString("moe.gov.xx"));
-  (void)r;  // any outcome is acceptable
-  EXPECT_LT(fresh.queries_sent() - before, 500u);  // bounded effort
+  const uint64_t before = world_.net.stats().exchanges;
+  (void)world_.Measure("moe.gov.xx");  // any outcome is acceptable
+  // Bounded effort, surface and shared-cut walks together.
+  EXPECT_LT(world_.net.stats().exchanges - before, 500u);
 }
 
 }  // namespace

@@ -83,9 +83,7 @@ TEST_F(FailureInjectionTest, MismatchedTransactionIdRejected) {
 
 TEST_F(FailureInjectionTest, TldRefusingEverythingIsDeadParent) {
   world_.tld_server->set_mode(zone::ServerMode::kRefuseAll);
-  IterativeResolver fresh(&world_.net, world_.roots());
-  ActiveMeasurer measurer(&fresh);
-  auto r = measurer.Measure(Name::FromString("moe.gov.xx"));
+  auto r = world_.Measure("moe.gov.xx");
   EXPECT_FALSE(r.parent_located);
   EXPECT_FALSE(r.parent_has_records);
 }
@@ -184,9 +182,7 @@ TEST_F(FailureInjectionTest, ParkingWildcardDoesNotLookLame) {
         return parking.Answer(*query).Encode();
       });
 
-  IterativeResolver fresh(&world_.net, world_.roots());
-  ActiveMeasurer measurer(&fresh);
-  auto r = measurer.Measure(Name::FromString("park.gov.xx"));
+  auto r = world_.Measure("park.gov.xx");
   EXPECT_TRUE(r.child_any_authoritative);
   EXPECT_EQ(ClassifyDelegation(r), DelegationHealth::kHealthy);
   auto klass = ClassifyConsistency(r);

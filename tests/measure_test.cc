@@ -12,13 +12,8 @@ using govdns::testing::TinyInternet;
 
 class MeasureTest : public ::testing::Test {
  protected:
-  MeasureTest()
-      : world_(),
-        resolver_(&world_.net, world_.roots()),
-        measurer_(&resolver_) {}
-
   MeasurementResult Measure(const char* domain) {
-    return measurer_.Measure(Name::FromString(domain));
+    return world_.Measure(domain);
   }
 
   static const NsHostResult* HostNamed(const MeasurementResult& r,
@@ -30,8 +25,6 @@ class MeasureTest : public ::testing::Test {
   }
 
   TinyInternet world_;
-  IterativeResolver resolver_;
-  ActiveMeasurer measurer_;
 };
 
 TEST_F(MeasureTest, HealthyDomain) {
@@ -125,9 +118,7 @@ TEST_F(MeasureTest, DeadParentZone) {
   // Silence the gov.xx server: the parent zone becomes unreachable.
   world_.net.SetBehavior(TinyInternet::Ip(10, 0, 2, 1),
                          simnet::EndpointBehavior{.silent = true});
-  IterativeResolver fresh(&world_.net, world_.roots());
-  ActiveMeasurer measurer(&fresh);
-  auto r = measurer.Measure(Name::FromString("moe.gov.xx"));
+  auto r = Measure("moe.gov.xx");
   EXPECT_FALSE(r.parent_located);
   EXPECT_FALSE(r.parent_responded);
 }
@@ -136,37 +127,30 @@ TEST_F(MeasureTest, SecondRoundRecoversFromTransientLoss) {
   // Heavy loss toward the healthy moe servers: round 1 may fail entirely,
   // round 2 retries. Both arms run the naive single-shot policy so the test
   // isolates the second-round mechanism from the per-query retry armor
-  // (which would push both arms to the ceiling).
-  world_.net.SetBehavior(TinyInternet::Ip(10, 0, 3, 1),
-                         simnet::EndpointBehavior{.loss_rate = 0.7});
-  world_.net.SetBehavior(TinyInternet::Ip(10, 0, 3, 2),
-                         simnet::EndpointBehavior{.loss_rate = 0.7});
+  // (which would push both arms to the ceiling). A domain's chaos draws are
+  // a pure function of (world seed, domain), so each trial is a fresh world
+  // seed.
   ResolverOptions naive;
   naive.retry = RetryPolicy::Disabled();
   int with_round2 = 0, without = 0;
-  for (int trial = 0; trial < 30; ++trial) {
-    {
-      IterativeResolver resolver(&world_.net, world_.roots(), naive);
-      MeasurerOptions opts;
-      opts.second_round = true;
-      ActiveMeasurer m(&resolver, opts);
-      with_round2 += m.Measure(Name::FromString("moe.gov.xx"))
-                         .child_any_authoritative;
-    }
-    {
-      IterativeResolver resolver(&world_.net, world_.roots(), naive);
-      MeasurerOptions opts;
-      opts.second_round = false;
-      ActiveMeasurer m(&resolver, opts);
-      without += m.Measure(Name::FromString("moe.gov.xx"))
-                     .child_any_authoritative;
-    }
+  for (uint64_t trial = 1; trial <= 30; ++trial) {
+    TinyInternet world(trial);
+    world.net.SetBehavior(TinyInternet::Ip(10, 0, 3, 1),
+                          simnet::EndpointBehavior{.loss_rate = 0.7});
+    world.net.SetBehavior(TinyInternet::Ip(10, 0, 3, 2),
+                          simnet::EndpointBehavior{.loss_rate = 0.7});
+    with_round2 += world.Measure("moe.gov.xx", {.second_round = true}, naive)
+                       .child_any_authoritative;
+    without += world.Measure("moe.gov.xx", {.second_round = false}, naive)
+                   .child_any_authoritative;
   }
   EXPECT_GT(with_round2, without);  // the second round visibly recovers
 }
 
 TEST_F(MeasureTest, MeasureAllPreservesOrder) {
-  auto results = measurer_.MeasureAll(
+  ActiveMeasurer measurer(&world_.net, world_.roots(), ResolverOptions(),
+                          MeasurerOptions{.workers = 2});
+  auto results = measurer.MeasureAll(
       {Name::FromString("moe.gov.xx"), Name::FromString("lame.gov.xx")});
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].domain.ToString(), "moe.gov.xx");

@@ -1,8 +1,8 @@
 // The sharded measurement pool must be a pure optimization: for a fixed
 // world seed, every observable study output — per-domain results, every
 // analysis, the resilience report, the exported JSON — must be
-// byte-identical whether one worker or many measured the list. The shared
-// cut cache and the per-worker counter merge must also reconcile exactly.
+// byte-identical whether one worker or many measured the list, and every
+// datagram the network carried must be attributed exactly once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,9 +30,8 @@ struct RunOutput {
   std::string export_json;
   std::string metrics_stable_json;  // kStable series only
   std::string trace_json;           // sampled query traces + cut publish log
-  core::ResolverCounters merged;      // Σ per-worker resolver counters
   core::ResolverCounters per_domain;  // Σ per-domain query_stats
-  uint64_t queries_sent = 0;
+  uint64_t exchanges = 0;  // network exchanges during the measurement phase
   uint64_t traced_domains = 0;
   size_t diagnostic_gauges = 0;
   core::CutCacheStats cache;
@@ -58,6 +57,7 @@ RunOutput RunStudy(int workers) {
 
   core::MeasurerOptions mopts;
   mopts.workers = workers;
+  const uint64_t exchanges_before = world->network().stats().exchanges;
   study.RunActiveMeasurement(mopts);
 
   RunOutput out;
@@ -71,8 +71,7 @@ RunOutput RunStudy(int workers) {
                                          observability.cut_log());
   out.traced_domains = observability.traces().folded_total();
   out.diagnostic_gauges = observability.metrics().Snapshot().gauges.size();
-  out.merged = study.measurement_counters();
-  out.queries_sent = study.measurement_queries_sent();
+  out.exchanges = world->network().stats().exchanges - exchanges_before;
   out.cache = study.measurement_cache_stats();
   for (const core::MeasurementResult& r : study.active().results) {
     out.per_domain += r.query_stats;
@@ -100,19 +99,23 @@ TEST(ParallelMeasureTest, FourWorkersMatchSerialByteForByte) {
   EXPECT_NE(serial.metrics_stable_json.find("\"measure.queries\""),
             std::string::npos);
 
-  // Counter reconciliation: the merged per-worker counters are exactly the
-  // sum of the per-domain attributions, in both runs — nothing the workers
-  // spent went unattributed, nothing was double-counted.
-  EXPECT_EQ(serial.merged, serial.per_domain);
-  EXPECT_EQ(parallel.merged, parallel.per_domain);
-  EXPECT_EQ(serial.merged, parallel.merged);
-  EXPECT_EQ(serial.queries_sent, parallel.queries_sent);
-  EXPECT_EQ(serial.queries_sent, serial.merged.queries);
+  // Counter reconciliation against the network's own count: every exchange
+  // of the measurement phase is attributed exactly once, either to the
+  // domain whose surface query sent it or to the shared cut cache's
+  // infrastructure walks — nothing went unattributed, nothing was
+  // double-counted. (Infra effort may differ between worker counts, since
+  // racing workers can compute one cut twice; per-domain effort may not.)
+  EXPECT_EQ(serial.per_domain.queries + serial.cache.infra.queries,
+            serial.exchanges);
+  EXPECT_EQ(parallel.per_domain.queries + parallel.cache.infra.queries,
+            parallel.exchanges);
+  EXPECT_EQ(serial.per_domain, parallel.per_domain);
 
   // The run must have actually exercised the hostile weather and the shared
   // cache, or the equivalence above would be vacuous.
-  EXPECT_GT(serial.merged.queries, 0u);
-  EXPECT_GT(serial.merged.retries, 0u);
+  EXPECT_GT(serial.per_domain.queries, 0u);
+  EXPECT_GT(serial.per_domain.retries, 0u);
+  EXPECT_GT(serial.cache.infra.queries, 0u);
   EXPECT_GT(serial.cache.hits, 0u);
   EXPECT_GT(serial.cache.publishes, 0u);
   EXPECT_GT(parallel.cache.hits, 0u);
@@ -125,7 +128,7 @@ TEST(ParallelMeasureTest, RepeatedParallelRunsAreDeterministic) {
   RunOutput b = RunStudy(4);
   EXPECT_EQ(a.resilience_json, b.resilience_json);
   EXPECT_EQ(a.export_json, b.export_json);
-  EXPECT_EQ(a.merged, b.merged);
+  EXPECT_EQ(a.per_domain, b.per_domain);
   EXPECT_EQ(a.metrics_stable_json, b.metrics_stable_json);
   EXPECT_EQ(a.trace_json, b.trace_json);
 }

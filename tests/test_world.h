@@ -25,6 +25,7 @@
 
 #include <memory>
 
+#include "core/measure.h"
 #include "simnet/network.h"
 #include "zone/auth_server.h"
 #include "zone/zone.h"
@@ -278,6 +279,16 @@ class TinyInternet {
   }
 
   std::vector<geo::IPv4> roots() const { return {Ip(10, 0, 0, 1)}; }
+
+  // Measures one domain through a fresh one-worker ActiveMeasurer pool —
+  // the path the study runs, with its own shared cut cache.
+  core::MeasurementResult Measure(const char* domain,
+                                  core::MeasurerOptions mopts = {},
+                                  core::ResolverOptions ropts = {}) {
+    mopts.workers = 1;
+    core::ActiveMeasurer measurer(&net, roots(), ropts, mopts);
+    return measurer.MeasureAll({dns::Name::FromString(domain)})[0];
+  }
 
   simnet::SimNetwork net;
   zone::AuthServer* root_server = nullptr;

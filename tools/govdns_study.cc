@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--per-ns-qps") {
       if (const char* v = next()) engine_options.per_server_qps = std::atof(v);
     } else if (arg == "--lanes") {
-      if (const char* v = next()) measure_options.async_lanes = std::atoi(v);
+      if (const char* v = next()) measure_options.workers = std::atoi(v);
     } else if (arg == "--vantages") {
       if (const char* v = next()) vantages = std::atoi(v);
     } else if (arg == "--vantage-deadline") {
