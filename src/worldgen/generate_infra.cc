@@ -73,18 +73,23 @@ World::Builder::Builder(World& world)
 
 void World::Builder::Build() {
   year_count = cfg.last_year - cfg.first_year + 1;
-  ComputeTargets();
-  SelectRiskCountries();
-  BuildRootAndTlds();
-  BuildProviderInfra();
-  BuildCountryInfra();
-  GenerateLifecyclesAndDeployments();
-  PlanMeasurementState();
-  PopulatePdns();
-  BuildActiveInfrastructure();
-  FinalizeRegistrar();
-  ApplyCountryFaults();
-  RecordNsHosts();
+  auto step = [this](const char* name, void (Builder::*phase)()) {
+    obs::PhaseProfiler::Scope scope(&profile, name);
+    (this->*phase)();
+  };
+  step("worldgen.targets", &Builder::ComputeTargets);
+  step("worldgen.risk_countries", &Builder::SelectRiskCountries);
+  step("worldgen.root_and_tlds", &Builder::BuildRootAndTlds);
+  step("worldgen.provider_infra", &Builder::BuildProviderInfra);
+  step("worldgen.country_infra", &Builder::BuildCountryInfra);
+  step("worldgen.lifecycle", &Builder::GenerateLifecyclesAndDeployments);
+  step("worldgen.measurement_plan", &Builder::PlanMeasurementState);
+  step("worldgen.pdns", &Builder::PopulatePdns);
+  step("worldgen.active_infra", &Builder::BuildActiveInfrastructure);
+  step("worldgen.registrar", &Builder::FinalizeRegistrar);
+  step("worldgen.country_faults", &Builder::ApplyCountryFaults);
+  step("worldgen.ns_hosts", &Builder::RecordNsHosts);
+  w.build_profile_ = profile.records();
 }
 
 void World::Builder::RecordNsHosts() {

@@ -63,6 +63,25 @@ print(f"smoke: cut cache publishes/size {publishes / size:.2f} <= 1.5, "
       f"0 negative evictions OK")
 EOF
 
+echo "==> smoke: bench_worldgen (identity + step attribution)"
+# Repeated builds of one seed must produce the same world, and the twelve
+# recorded build steps must account for the BuildWorld wall (the rest is
+# World construction and builder teardown). No timing bound: the scale
+# ratios in BENCH_worldgen.json are for reading, not gating.
+GOVDNS_WORLDGEN_SCALES=0.05,0.1 \
+  GOVDNS_WORLDGEN_JSON="${SMOKE_DIR}/BENCH_worldgen.json" \
+  ./build/bench/bench_worldgen --benchmark_filter='^$' >/dev/null 2>&1
+python3 - "${SMOKE_DIR}/BENCH_worldgen.json" <<'EOF'
+import json, sys
+doc = json.loads(open(sys.argv[1]).read())
+assert doc["identical"], doc
+for s in doc["scales"]:
+    assert s["identical"], s
+    assert 0.95 <= s["attributed"] <= 1.0, (s["scale"], s["attributed"])
+    print(f"smoke: worldgen scale {s['scale']}: builds identical, steps "
+          f"account for {100 * s['attributed']:.1f}% of the build wall")
+EOF
+
 echo "==> smoke: bench_parallel_mine (identity + fold scaling, both sweeps)"
 # The mining pool is only allowed to change wall-clock time, never bytes —
 # at every worker count, on every snapshot substrate, at world scale and at
