@@ -44,10 +44,6 @@ class Rng {
 
   bool Bernoulli(double p);
 
-  // Zipf-distributed rank in [1, n] with exponent s > 0. Heavy-tailed sizes
-  // (country zone counts, provider popularity) come from this.
-  uint64_t Zipf(uint64_t n, double s);
-
   // Approximately log-normally distributed positive double.
   double LogNormal(double mu, double sigma);
 
@@ -78,6 +74,24 @@ class Rng {
  private:
   uint64_t seed_;
   uint64_t s_[4];
+};
+
+// Zipf-distributed ranks with exponent s > 0 by inverse CDF over a cached
+// prefix-sum table: prefix[k-1] = sum of 1/j^s for j = 1..k, accumulated in
+// rank order. A partial sum up to k does not depend on n, so one table
+// built for the largest n serves every n <= max_n, and each draw costs one
+// UniformDouble() and a binary search instead of two O(n) sums.
+class ZipfTable {
+ public:
+  ZipfTable(uint64_t max_n, double s);
+
+  // A rank in [1, n], 1 <= n <= max_n(). Draws nothing when n == 1.
+  uint64_t Draw(Rng& rng, uint64_t n) const;
+
+  uint64_t max_n() const { return prefix_.size(); }
+
+ private:
+  std::vector<double> prefix_;
 };
 
 }  // namespace govdns::util

@@ -1,8 +1,10 @@
 #include "worldgen/providers.h"
 
+#include <algorithm>
 #include <map>
 
 #include "util/status.h"
+#include "worldgen/countries.h"
 
 namespace govdns::worldgen {
 
@@ -576,6 +578,32 @@ std::vector<dns::Name> PickCustomerNs(const ProviderSpec& spec,
     }
   }
   return out;
+}
+
+std::vector<double> CountryDemandWeights(const ProviderSpec& spec, int year) {
+  const auto countries = Countries();
+  const auto top10 = Top10CountryCodes();
+  const double frac = std::clamp((year - 2011) / 9.0, 0.0, 1.0);
+  const double coverage =
+      spec.coverage_2011 + (spec.coverage_2020 - spec.coverage_2011) * frac;
+  std::vector<double> weights(countries.size(), 0.0);
+  for (size_t c = 0; c < countries.size(); ++c) {
+    const std::string_view code = countries[c].code;
+    if (!spec.country_focus.empty()) {
+      if (spec.country_focus != code) continue;
+    } else {
+      const double u =
+          double(util::HashString(std::string(spec.group_key) + "|" +
+                                  countries[c].code) >>
+                 11) *
+          0x1.0p-53;
+      if (u >= coverage) continue;
+    }
+    const bool top = std::any_of(top10.begin(), top10.end(),
+                                 [&](const char* t) { return code == t; });
+    weights[c] = top ? 1.0 : spec.small_country_affinity;
+  }
+  return weights;
 }
 
 }  // namespace govdns::worldgen

@@ -89,4 +89,15 @@ dns::Name ProviderHostname(const ProviderSpec& spec, int i);
 std::vector<dns::Name> PickCustomerNs(const ProviderSpec& spec,
                                       util::Rng& rng);
 
+// The weight with which each country's domains compete for `spec`'s
+// customer demand in `year`, indexed like Countries(); 0 when the country
+// does not buy from the provider that year. A focused provider sells only
+// in its focus country. For a global one, a deterministic per-(provider,
+// country) coin HashString(group_key + "|" + code) decides whether the
+// market buys at all: it does while the coin is below the provider's
+// coverage that year, so markets open monotonically over the decade
+// (Table III calibration). Buying top-10 countries weigh 1.0, the rest
+// small_country_affinity.
+std::vector<double> CountryDemandWeights(const ProviderSpec& spec, int year);
+
 }  // namespace govdns::worldgen

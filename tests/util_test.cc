@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <utility>
@@ -154,15 +155,52 @@ TEST(RngTest, BernoulliApproximatesProbability) {
 
 TEST(RngTest, ZipfFavorsLowRanks) {
   Rng rng(8);
+  const ZipfTable zipf(10, 1.0);
   int64_t rank1 = 0, rank10 = 0;
   for (int i = 0; i < 20000; ++i) {
-    uint64_t r = rng.Zipf(10, 1.0);
+    uint64_t r = zipf.Draw(rng, 10);
     ASSERT_GE(r, 1u);
     ASSERT_LE(r, 10u);
     if (r == 1) ++rank1;
     if (r == 10) ++rank10;
   }
   EXPECT_GT(rank1, rank10 * 4);
+}
+
+// The O(n)-per-draw inverse CDF the table replaced: sums the normalizer,
+// then walks the ranks again until the running sum reaches the target.
+uint64_t ReferenceZipf(Rng& rng, uint64_t n, double s) {
+  if (n == 1) return 1;
+  double total = 0.0;
+  for (uint64_t k = 1; k <= n; ++k) total += 1.0 / std::pow(double(k), s);
+  double target = rng.UniformDouble() * total;
+  double run = 0.0;
+  for (uint64_t k = 1; k <= n; ++k) {
+    run += 1.0 / std::pow(double(k), s);
+    if (run >= target) return k;
+  }
+  return n;
+}
+
+TEST(RngTest, ZipfTableMatchesReferenceLoop) {
+  for (double s : {1.0, 1.5}) {
+    // One table sized for the largest n serves every smaller n.
+    const ZipfTable zipf(4096, s);
+    for (uint64_t n : {2, 3, 10, 315, 4096}) {
+      Rng table_rng(n * 31 + static_cast<uint64_t>(s * 10));
+      Rng reference_rng = table_rng;
+      for (int i = 0; i < 2000; ++i) {
+        ASSERT_EQ(zipf.Draw(table_rng, n), ReferenceZipf(reference_rng, n, s))
+            << "n=" << n << " s=" << s << " draw " << i;
+      }
+      // Both consumed the same stream.
+      EXPECT_EQ(table_rng.NextU64(), reference_rng.NextU64());
+    }
+  }
+  // n == 1 draws nothing.
+  Rng a(3), b(3);
+  EXPECT_EQ(ZipfTable(1, 1.0).Draw(a, 1), 1u);
+  EXPECT_EQ(a.NextU64(), b.NextU64());
 }
 
 TEST(RngTest, WeightedIndexProportional) {
