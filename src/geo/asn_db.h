@@ -28,18 +28,33 @@ struct AsnInfo {
 // (longest) registered prefix containing the address.
 class AsnDatabase {
  public:
+  // Registering a block past every registered address (what
+  // AddressAllocator does) costs O(log n); any other Add re-flattens the
+  // whole table in O(n log n).
   void Add(const Cidr& block, uint32_t asn, std::string organization);
 
-  // Longest-prefix match; null if no registered block covers `ip`. Points
-  // into the database (no copy) and stays valid until the next Add.
+  // Longest-prefix match in one binary search; null if no registered block
+  // covers `ip`. Points into the database (no copy) and stays valid until
+  // the next Add.
   const AsnInfo* Lookup(IPv4 ip) const;
 
   size_t prefix_count() const;
 
  private:
-  // One ordered map per prefix length; lookup scans from /32 down to /0,
-  // which is at most 33 O(log n) probes — plenty fast at our scale.
+  // A maximal address run whose longest covering prefix is `info`.
+  struct Range {
+    uint32_t first = 0;
+    uint32_t last = 0;
+    const AsnInfo* info = nullptr;
+  };
+
+  // Recomputes ranges_ from by_len_.
+  void Flatten();
+
+  // One ordered map per prefix length: the registered prefixes themselves.
   std::map<uint32_t, AsnInfo> by_len_[33];
+  // The flattened longest-prefix table: disjoint, ascending ranges.
+  std::vector<Range> ranges_;
 };
 
 // Sequentially carves address space out of a pool of /16 super-blocks and

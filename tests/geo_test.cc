@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "geo/asn_db.h"
 #include "geo/ipv4.h"
+#include "util/rng.h"
 
 namespace govdns::geo {
 namespace {
@@ -78,6 +83,52 @@ TEST(AsnDatabaseTest, PrefixCount) {
   db.Add(Cidr(IPv4(10, 0, 0, 0), 8), 1, "a");
   db.Add(Cidr(IPv4(10, 0, 0, 0), 24), 2, "b");
   EXPECT_EQ(db.prefix_count(), 2u);
+}
+
+TEST(AsnDatabaseTest, FlatTableMatchesLongestPrefixScan) {
+  // Nested and disjoint blocks registered in random order (every Add past
+  // the end and every re-flatten), checked against a direct scan.
+  util::Rng rng(77);
+  AsnDatabase db;
+  std::vector<std::pair<Cidr, uint32_t>> added;
+  auto reference = [&](IPv4 ip) -> std::optional<uint32_t> {
+    int best_len = -1;
+    std::optional<uint32_t> best;
+    for (const auto& [block, asn] : added) {
+      if (block.Contains(ip) && block.prefix_len() >= best_len) {
+        best_len = block.prefix_len();
+        best = asn;  // a re-registered prefix keeps its latest ASN
+      }
+    }
+    return best;
+  };
+  auto random_ip = [&] {
+    // Mostly inside 10/8 so blocks nest; sometimes anywhere, incl. 0/255.
+    switch (rng.UniformU64(4)) {
+      case 0: return IPv4(static_cast<uint32_t>(rng.NextU64()));
+      case 1: return IPv4(rng.Bernoulli(0.5) ? 0u : ~0u);
+      default:
+        return IPv4(10, static_cast<uint8_t>(rng.UniformU64(4)),
+                    static_cast<uint8_t>(rng.UniformU64(256)),
+                    static_cast<uint8_t>(rng.UniformU64(256)));
+    }
+  };
+  for (int i = 0; i < 300; ++i) {
+    const int len = static_cast<int>(rng.UniformU64(33));
+    const Cidr block(random_ip(), len);
+    const uint32_t asn = 1000 + static_cast<uint32_t>(i);
+    db.Add(block, asn, "org");
+    added.emplace_back(block, asn);
+    for (int probe = 0; probe < 50; ++probe) {
+      const IPv4 ip = random_ip();
+      const AsnInfo* got = db.Lookup(ip);
+      const std::optional<uint32_t> want = reference(ip);
+      ASSERT_EQ(got != nullptr, want.has_value()) << ip.ToString();
+      if (got != nullptr) {
+        ASSERT_EQ(got->asn, *want) << ip.ToString();
+      }
+    }
+  }
 }
 
 TEST(AddressAllocatorTest, BlocksAreDisjointAndRegistered) {
